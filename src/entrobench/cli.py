@@ -249,7 +249,8 @@ def cmd_score(m: ExperimentManifest, out: Path) -> int:
     if m.pattern.n_dim > plan.max_n_dim:
         raise ConfigError(
             f"n_dim={m.pattern.n_dim} exceeds the simulation budget "
-            f"({plan.max_n_dim}); raise [model] max_n_dim to override"
+            f"({plan.max_n_dim}): run time grows as N^3 per spec (memory "
+            f"only as N^2); raise [model] max_n_dim to override"
         )
     tile = (plan.tile_m, plan.tile_n)
     if tile == (1, 1) and plan.lanes > 1:

@@ -94,11 +94,26 @@ def reference_gemm(a, b, c, alpha: float = 1.0, beta: float = 1.0) -> np.ndarray
     return out
 
 
+CHECKSUM_CHUNK = 1 << 14  # elements summed per np.add.accumulate call
+
+
 def checksum(c: np.ndarray) -> tuple[float, str]:
-    """Sum of all elements in ascending row-major order, plus its bit pattern."""
+    """Sum of all elements in ascending row-major order, plus its bit pattern.
+
+    np.add.accumulate adds strictly left to right, so seeding each chunk
+    with the running total gives the bits of a scalar loop.
+    """
+    flat = c.ravel()
+    buf = np.empty(min(flat.size, CHECKSUM_CHUNK) + 1)
     total = 0.0
-    for v in c.ravel():
-        total += float(v)
+    with np.errstate(all="ignore"):  # inf/nan propagate silently, as in float +=
+        for start in range(0, flat.size, CHECKSUM_CHUNK):
+            chunk = flat[start:start + CHECKSUM_CHUNK]
+            run = buf[:len(chunk) + 1]
+            run[0] = total
+            run[1:] = chunk
+            np.add.accumulate(run, out=run)
+            total = float(run[-1])
     bits = np.float64(total).view(np.uint64)
     return total, f"{int(bits):016x}"
 

@@ -37,7 +37,9 @@ class ModelPlan:
     tile_n: int = 1
     w_mul: float = 1.0
     w_acc: float = 1.0
-    max_n_dim: int = 1024  # simulation budget guard
+    # Run-time guard: scoring costs ~N^3 port cycles per spec, while memory
+    # stays O(N^2) plus one streamed block.
+    max_n_dim: int = 1024
 
 
 @dataclass(frozen=True)

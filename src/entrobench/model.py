@@ -10,6 +10,7 @@ wattage itself.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,71 +99,107 @@ def hamming(p: int, q: int) -> int:
     return ((p ^ q) & 0xFFFFFFFFFFFFFFFF).bit_count()
 
 
+# Port cycles per streamed block (128 KiB per operand word array).  Blocks
+# hold whole lane-groups, so a block is at least one group (n_dim * lanes
+# cycles).  16 Ki measured fastest: larger blocks spend their time in page
+# faults on freshly allocated arrays, smaller ones in per-block overhead.
+BLOCK_CYCLES = 1 << 14
+
+
 def _output_order(n: int, schedule: Schedule) -> tuple[np.ndarray, np.ndarray]:
     """Row/col indices of output cells in tile-row-major traversal order."""
     tm, tn = schedule.tile
     if n % tm or n % tn:
         raise ConfigError(f"tile {schedule.tile} does not divide n_dim {n}")
-    rows = []
-    cols = []
-    for ti in range(0, n, tm):
-        for tj in range(0, n, tn):
-            for di in range(tm):
-                for dj in range(tn):
-                    rows.append(ti + di)
-                    cols.append(tj + dj)
-    return np.array(rows), np.array(cols)
+    shape = (n // tm, n // tn, tm, tn)  # (tile row, tile col, di, dj)
+    rows = np.arange(0, n, tm)[:, None, None, None] + np.arange(tm)[:, None]
+    cols = np.arange(0, n, tn)[:, None, None] + np.arange(tn)
+    return np.broadcast_to(rows, shape).ravel(), np.broadcast_to(cols, shape).ravel()
 
 
-def operand_stream(pair: MatrixPair, schedule: Schedule = Schedule()) -> FmaStream:
-    """Build the merged FMA-port stream for a matrix pair under a schedule.
+def _group_block(a: np.ndarray, bt: np.ndarray, rows: np.ndarray,
+                 cols: np.ndarray) -> FmaStream:
+    """Port stream of the lane-groups whose cells are rows[g, l], cols[g, l]."""
+    groups, lanes = rows.shape
+    a_blk, b_blk, acc = np.empty((3, groups, a.shape[1], lanes))
+    # Gathering whole rows lane by lane beats transposing a gathered
+    # (groups, lanes, n) block, whose inner copy runs are only `lanes` long.
+    for lane in range(lanes):
+        a_blk[:, :, lane] = a[rows[:, lane]]   # a[i_l, k] at [g, k, l]
+        b_blk[:, :, lane] = bt[cols[:, lane]]  # b[k, j_l] at [g, k, l]
+    np.multiply(a_blk, b_blk, out=acc)
+    np.cumsum(acc, axis=1, out=acc)  # ascending-k, sequential per lane
+    return FmaStream(a_vals=a_blk.ravel(),  # k-major, lane-minor interleave
+                     b_vals=b_blk.ravel(),
+                     acc_vals=acc.ravel())
+
+
+def stream_blocks(pair: MatrixPair,
+                  schedule: Schedule = Schedule()) -> Iterator[FmaStream]:
+    """Yield the merged FMA-port stream in blocks of whole lane-groups.
 
     Each lane-group of `lanes` consecutive output cells shares the port;
     within a group the k-loop advances once per round-robin pass, so
     consecutive port cycles alternate lanes.  Accumulators run the actual
     arithmetic (product then add per cycle), so zero-propagation effects
     in the dot products show up in the accumulator word naturally.
+
+    Blocks cover about BLOCK_CYCLES cycles each, so memory stays O(N^2)
+    plus one block however large N is.
     """
     n = pair.spec.n_dim
-    a, b = pair.a, pair.b
     lanes = schedule.lanes
     rows, cols = _output_order(n, schedule)
+    rows = rows.reshape(-1, lanes)  # one row per lane-group
+    cols = cols.reshape(-1, lanes)
+    bt = np.ascontiguousarray(pair.b.T)
+    groups = max(1, BLOCK_CYCLES // (n * lanes))
+    for start in range(0, len(rows), groups):
+        yield _group_block(pair.a, bt, rows[start:start + groups], cols[start:start + groups])
 
-    a_parts = []
-    b_parts = []
-    acc_parts = []
-    for start in range(0, n * n, lanes):
-        i_arr = rows[start:start + lanes]
-        j_arr = cols[start:start + lanes]
-        a_block = a[i_arr, :].T          # (n, lanes): a[i_l, k] at [k, l]
-        b_block = b[:, j_arr]            # (n, lanes): b[k, j_l] at [k, l]
-        prods = a_block * b_block
-        acc = np.cumsum(prods, axis=0)   # ascending-k, sequential per lane
-        a_parts.append(a_block.ravel())  # k-major, lane-minor interleave
-        b_parts.append(b_block.ravel())
-        acc_parts.append(acc.ravel())
 
+def operand_stream(pair: MatrixPair, schedule: Schedule = Schedule()) -> FmaStream:
+    """The whole port stream in one piece (O(N^3) memory; see stream_blocks)."""
+    blocks = list(stream_blocks(pair, schedule))
     return FmaStream(
-        a_vals=np.concatenate(a_parts),
-        b_vals=np.concatenate(b_parts),
-        acc_vals=np.concatenate(acc_parts),
+        a_vals=np.concatenate([blk.a_vals for blk in blocks]),
+        b_vals=np.concatenate([blk.b_vals for blk in blocks]),
+        acc_vals=np.concatenate([blk.acc_vals for blk in blocks]),
     )
 
 
-def _word_toggles(values: np.ndarray) -> int:
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
-    if len(bits) < 2:
-        return 0
-    return int(np.bitwise_count(bits[1:] ^ bits[:-1]).sum())
+def _block_toggles(block: FmaStream):
+    """Cycles, in-block toggles, first and last words of one non-empty block.
+
+    The last three are lists over the a, b and acc words.
+    """
+    words = [np.ascontiguousarray(v, dtype=np.float64).view(np.uint64)
+             for v in (block.a_vals, block.b_vals, block.acc_vals)]
+    toggles = [int(np.bitwise_count(w[1:] ^ w[:-1]).sum()) for w in words]
+    return len(block), toggles, [w[0] for w in words], [w[-1] for w in words]
 
 
-def toggle_score(stream: FmaStream, w_mul: float = 1.0, w_acc: float = 1.0) -> ToggleReport:
-    """Cycle-to-cycle toggle totals over the port stream, per FLOP."""
-    flops = len(stream)
+def toggle_score(stream: FmaStream | Iterable[FmaStream],
+                 w_mul: float = 1.0, w_acc: float = 1.0) -> ToggleReport:
+    """Cycle-to-cycle toggle totals over the port stream, per FLOP.
+
+    `stream` is one FmaStream or an iterable of consecutive blocks of one
+    stream; each block's first words are compared with the previous
+    block's last, so the totals do not depend on where blocks split.
+    """
+    blocks = [stream] if isinstance(stream, FmaStream) else stream
+    flops = mul = acc = 0
+    last = None
+    # map() drops each block once it is counted, so one block is alive at a time
+    for cycles, toggles, first, final in map(_block_toggles, filter(len, blocks)):
+        if last is not None:
+            toggles = [t + hamming(int(p), int(q)) for t, p, q in zip(toggles, last, first)]
+        mul += toggles[0] + toggles[1]
+        acc += toggles[2]
+        flops += cycles
+        last = final
     if flops == 0:
         raise ConfigError("empty operand stream")
-    mul = _word_toggles(stream.a_vals) + _word_toggles(stream.b_vals)
-    acc = _word_toggles(stream.acc_vals)
     score = (w_mul * mul + w_acc * acc) / flops
     return ToggleReport(
         flops=flops,
@@ -179,7 +216,7 @@ def score_spec(spec, schedule: Schedule = Schedule(),
     """Generate a spec's matrices and score its operand stream."""
     from .patterns import generate
 
-    return toggle_score(operand_stream(generate(spec), schedule), w_mul, w_acc)
+    return toggle_score(stream_blocks(generate(spec), schedule), w_mul, w_acc)
 
 
 def predict_ordering(specs, schedule: Schedule = Schedule(),

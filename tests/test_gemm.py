@@ -3,6 +3,7 @@ import sys
 import numpy as np
 import pytest
 
+from entrobench import gemm
 from entrobench.errors import ConfigError
 from entrobench.gemm import (
     GemmConfig,
@@ -99,6 +100,18 @@ def test_checksum_is_row_major_ascending_sum():
     value, bits = checksum(c)
     assert value == ((1.0 + 2.0) + 3.0) + 4.0
     assert bits == f"{int(np.float64(value).view(np.uint64)):016x}"
+
+
+def test_checksum_chunks_match_scalar_loop(monkeypatch):
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-8, 9, (7, 5))
+    total = 0.0
+    for v in c.ravel():
+        total += float(v)
+    for chunk in (1, 3, 35, 64):
+        monkeypatch.setattr(gemm, "CHECKSUM_CHUNK", chunk)
+        assert checksum(c) == (total, f"{int(np.float64(total).view(np.uint64)):016x}")
+    assert checksum(np.empty((0, 0))) == (0.0, "0000000000000000")
 
 
 def test_run_experiment_flops_and_determinism():

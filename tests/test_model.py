@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entrobench import model
 from entrobench.errors import ConfigError
 from entrobench.model import (
     FmaStream,
@@ -13,9 +16,10 @@ from entrobench.model import (
     predict_ordering,
     schedule_for_lanes,
     score_spec,
+    stream_blocks,
     toggle_score,
 )
-from entrobench.patterns import PatternSpec, generate
+from entrobench.patterns import Family, PatternSpec, ValueMode, generate
 
 
 def test_bits64_known_patterns():
@@ -84,6 +88,32 @@ def test_stream_definition_single_lane():
     )
 
 
+@pytest.mark.parametrize("lanes,tile", [(2, (1, 2)), (4, (2, 2)), (8, (2, 4))])
+def test_stream_matches_scalar_tiled_schedule(lanes, tile):
+    n = 8
+    pair = generate(PatternSpec(family="sparse_rowcol", n_dim=n, level=1, seed=6))
+    stream = operand_stream(pair, Schedule(lanes=lanes, tile=tile))
+
+    tm, tn = tile
+    cells = [(ti + di, tj + dj)
+             for ti in range(0, n, tm) for tj in range(0, n, tn)
+             for di in range(tm) for dj in range(tn)]
+    a_expect, b_expect, acc_expect = [], [], []
+    for start in range(0, len(cells), lanes):
+        group = cells[start:start + lanes]
+        accs = [0.0] * lanes
+        for k in range(n):
+            for lane, (i, j) in enumerate(group):
+                accs[lane] = accs[lane] + pair.a[i, k] * pair.b[k, j]
+                a_expect.append(pair.a[i, k])
+                b_expect.append(pair.b[k, j])
+                acc_expect.append(accs[lane])
+    for got, expect in ((stream.a_vals, a_expect), (stream.b_vals, b_expect),
+                        (stream.acc_vals, acc_expect)):
+        np.testing.assert_array_equal(np.asarray(got).view(np.uint64),
+                                      np.asarray(expect).view(np.uint64))
+
+
 def test_stream_round_robin_two_lanes():
     spec = PatternSpec(family="baseline_random", n_dim=2, seed=1)
     pair = generate(spec)
@@ -130,6 +160,10 @@ def test_empty_stream_rejected():
     empty = np.empty(0)
     with pytest.raises(ConfigError):
         toggle_score(FmaStream(a_vals=empty, b_vals=empty, acc_vals=empty))
+    with pytest.raises(ConfigError):
+        toggle_score([])
+    with pytest.raises(ConfigError):
+        toggle_score(iter(()))
 
 
 def test_tile_must_divide_dimension():
@@ -185,3 +219,67 @@ def test_score_is_deterministic():
     first = score_spec(spec, schedule_for_lanes(4))
     second = score_spec(spec, schedule_for_lanes(4))
     assert first == second
+
+
+@pytest.mark.parametrize("lanes,tile", [(1, (1, 1)), (2, (1, 2)),
+                                        (4, (2, 2)), (8, (2, 4))])
+@pytest.mark.parametrize("mode", list(ValueMode))
+@pytest.mark.parametrize("family", list(Family))
+def test_block_streamed_toggles_equal_whole_stream(family, mode, lanes, tile,
+                                                   monkeypatch):
+    n = 16
+    schedule = Schedule(lanes=lanes, tile=tile)
+    pair = generate(PatternSpec(family=family, n_dim=n, level=2,
+                                value_mode=mode, seed=4))
+    whole = operand_stream(pair, schedule)
+    assert len(list(stream_blocks(pair, schedule))) == 1  # no boundary yet
+    expected = toggle_score(whole)
+
+    group = n * lanes
+    # one lane-group per block, then 3 groups per block (3 divides no
+    # group count here, so the last block is short)
+    for block_cycles in (1, 3 * group):
+        monkeypatch.setattr(model, "BLOCK_CYCLES", block_cycles)
+        blocks = list(stream_blocks(pair, schedule))
+        assert len(blocks) > 1
+        assert all(len(blk) % group == 0 for blk in blocks)
+        assert toggle_score(iter(blocks)) == expected
+        rejoined = operand_stream(pair, schedule)
+        for name in ("a_vals", "b_vals", "acc_vals"):
+            np.testing.assert_array_equal(
+                getattr(rejoined, name).view(np.uint64),
+                getattr(whole, name).view(np.uint64))
+
+
+def test_toggles_carry_across_block_boundary():
+    # every word changes exactly at the boundary and nowhere else
+    first = FmaStream(a_vals=np.array([2.0, 2.0]), b_vals=np.array([0.5, 0.5]),
+                      acc_vals=np.array([1.0, 1.0]))
+    second = FmaStream(a_vals=np.array([0.5]), b_vals=np.array([2.0]),
+                       acc_vals=np.array([3.0]))
+    empty = FmaStream(a_vals=np.empty(0), b_vals=np.empty(0),
+                      acc_vals=np.empty(0))
+    whole = FmaStream(
+        a_vals=np.concatenate([first.a_vals, second.a_vals]),
+        b_vals=np.concatenate([first.b_vals, second.b_vals]),
+        acc_vals=np.concatenate([first.acc_vals, second.acc_vals]),
+    )
+    report = toggle_score([first, second])
+    assert report == toggle_score(whole)
+    assert report == toggle_score([first, empty, second])
+    assert report.flops == 3
+    assert report.mul_input_toggles == 2 * hamming(bits64(2.0), bits64(0.5))
+    assert report.acc_toggles == hamming(bits64(1.0), bits64(3.0)) > 0
+
+
+def test_score_spec_memory_is_bounded():
+    # the whole N=128, 4-lane stream is 2 Mi cycles (~100 MB as arrays);
+    # streaming keeps the two matrices plus one block
+    spec = PatternSpec(family="baseline_random", n_dim=128, seed=0)
+    tracemalloc.start()
+    try:
+        score_spec(spec, schedule_for_lanes(4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
