@@ -71,11 +71,23 @@ def flop_count(n_dim: int, reps: int) -> int:
     return reps * 2 * n_dim ** 3
 
 
+GEMM_BLOCK = 1 << 15  # accumulator elements per block of output rows
+
+
 def reference_gemm(a, b, c, alpha: float = 1.0, beta: float = 1.0) -> np.ndarray:
     """C' = alpha*A*B + beta*C with ascending-k per-cell summation.
 
-    The per-cell accumulation order makes results bit-reproducible and
-    bit-identical to a naive scalar triple loop.
+    Output rows are computed in blocks of about GEMM_BLOCK elements, with
+    k = 0..N-1 in the outer loop: each block's rounded products
+    A[i,k]*B[k,j] go into one buffer and are added in place to an
+    accumulator started at 0.0, then alpha*acc + beta*C finishes the block.
+    Each cell thus gets the same additions in the same order as in a scalar
+    triple loop, so results are bit-reproducible and bit-identical to it,
+    infinities and signed zeros included.  NaN cells are in the same
+    places, but where two NaNs meet, the sign of the result is unspecified
+    by IEEE 754 and follows numpy's loop length and operand order, so it
+    may differ.  Working memory is the output plus two blocks; overflow and
+    invalid-operation RuntimeWarnings are raised as numpy raises them.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -85,12 +97,19 @@ def reference_gemm(a, b, c, alpha: float = 1.0, beta: float = 1.0) -> np.ndarray
         if m.shape != (n, n):
             raise ConfigError(f"operands must all be {n}x{n}, got {m.shape}")
     out = np.empty((n, n))
-    for i in range(n):
-        row_a = a[i]
-        acc = np.zeros(n)
+    rows = max(1, GEMM_BLOCK // max(n, 1))
+    acc_buf = np.empty((min(rows, n), n))
+    prod_buf = np.empty_like(acc_buf)
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        acc, prod = acc_buf[:i1 - i0], prod_buf[:i1 - i0]
+        acc.fill(0.0)
         for k in range(n):
-            acc = acc + row_a[k] * b[k]
-        out[i] = alpha * acc + beta * c[i]
+            np.multiply(a[i0:i1, k:k + 1], b[k], out=prod)
+            np.add(acc, prod, out=acc)
+        np.multiply(alpha, acc, out=acc)
+        np.multiply(beta, c[i0:i1], out=prod)
+        np.add(acc, prod, out=out[i0:i1])
     return out
 
 
@@ -121,9 +140,7 @@ def checksum(c: np.ndarray) -> tuple[float, str]:
 @dataclass(frozen=True)
 class Backend:
     run: object  # callable (a, b, c, alpha, beta) -> c'
-    supports_gpu: bool = False
     in_process: bool = True
-    fpu_path: str | None = None
 
 
 _BACKENDS: dict[str, Backend] = {}

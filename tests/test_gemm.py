@@ -71,6 +71,79 @@ def test_bit_for_bit_vs_naive_oracle():
         )
 
 
+def assert_same_bits(got, want):
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("block_rows", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 5, 17, 64])
+def test_row_blocks_match_naive_oracle(monkeypatch, n, block_rows):
+    monkeypatch.setattr(gemm, "GEMM_BLOCK", block_rows * n)
+    rng = np.random.default_rng(n)
+    a, b, c = rng.standard_normal((3, n, n))
+    cases = [
+        (a, b, c),
+        (a.T, b.T, c.T),
+        (np.asfortranarray(a), np.asfortranarray(b), np.asfortranarray(c)),
+        tuple(rng.integers(-9, 10, (3, n, n))),
+    ]
+    for a, b, c in cases:
+        saved = [m.copy() for m in (a, b, c)]
+        got = reference_gemm(a, b, c, 1.5, -0.75)
+        want = naive_gemm(a.tolist(), b.tolist(), c.tolist(), 1.5, -0.75)
+        assert_same_bits(got, want)
+        for m, before in zip((a, b, c), saved):
+            np.testing.assert_array_equal(m, before)
+        assert not np.shares_memory(got, c)
+
+
+def test_special_values_match_scalar_loop():
+    """inf, -0.0, overflow and NaN: every non-NaN cell has the scalar
+    loop's bits and NaN cells are in the same places; NaN signs may differ."""
+    rng = np.random.default_rng(3)
+    specials = [np.inf, -np.inf, -0.0, 0.0, np.nan, 1e300, -1e300, 2.0, -3.5]
+    for alpha, beta in [(1.5, -0.5), (-0.0, 2.0), (np.inf, 0.0), (1e300, np.nan)]:
+        for n in (1, 4, 9):
+            mats = rng.standard_normal((3, n, n))
+            mask = rng.random(mats.shape) < 0.4
+            mats[mask] = rng.choice(specials, int(mask.sum()))
+            with np.errstate(all="ignore"):
+                got = reference_gemm(*mats, alpha, beta)
+            want = naive_gemm(*(m.tolist() for m in mats), alpha, beta)
+            nan = np.isnan(want)
+            np.testing.assert_array_equal(np.isnan(got), nan)
+            assert_same_bits(got[~nan], want[~nan])
+    # -0.0 products summed from +0.0 give +0.0, as in the scalar loop
+    assert_same_bits(reference_gemm([[-0.0]], [[1.0]], [[-0.0]], beta=0.0),
+                     np.array([[0.0]]))
+
+
+def test_overflow_and_invalid_still_warn():
+    big = np.full((2, 2), 1e300)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        out = reference_gemm(big, big, np.zeros((2, 2)))
+    assert np.all(out == np.inf)
+    with pytest.warns(RuntimeWarning, match="invalid"):
+        out = reference_gemm([[np.inf, -np.inf], [1.0, 1.0]], np.ones((2, 2)),
+                             np.zeros((2, 2)))
+    assert np.isnan(out[0]).all() and np.all(out[1] == 2.0)
+
+
+def test_working_memory_is_output_plus_two_blocks():
+    import tracemalloc
+
+    n = 256
+    rng = np.random.default_rng(1)
+    a, b, c = rng.random((3, n, n))
+    tracemalloc.start()
+    try:
+        reference_gemm(a, b, c, 1.5, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak  # 512 KiB output + 2 x 256 KiB blocks
+
+
 @pytest.mark.parametrize("n", [4, 64])
 def test_baseline_fixed_closed_form(n):
     spec = PatternSpec(family="baseline_fixed", n_dim=n)
