@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import analysis, fixtures, model, records, telemetry
 from .errors import ConfigError, EntrobenchError, InsufficientDataError, SourceError
-from .gemm import run_experiment
+from .gemm import get_backend, run_experiment
 from .manifest import (
     ExperimentManifest,
     load_manifest,
@@ -33,15 +33,16 @@ SERIES_HEADER = "family,value_mode,level,mean_w,tdp_w,baseline_random_w,baseline
 SCORE_HEADER = "family,level,value_mode,score_per_flop,mul_toggles,acc_toggles,flops"
 
 
-def build_sampler(descriptor: str, interval_ms: float) -> telemetry.Sampler:
+def build_sampler(descriptor: str,
+                  interval_ms: float) -> telemetry.Sampler | telemetry.ReplaySampler:
     """Source descriptors: replay:<timeline.csv>, pm:<path>, rapl:<path>."""
     kind, _, arg = descriptor.partition(":")
     if kind == "replay":
         try:
-            source = telemetry.ReplaySource(telemetry.read_timeline(arg))
+            return telemetry.ReplaySampler(telemetry.read_timeline(arg), interval_ms)
         except OSError as exc:
             raise ConfigError(f"cannot read replay timeline {arg!r}: {exc}") from exc
-    elif kind == "pm":
+    if kind == "pm":
         source = telemetry.FilePowerSource(arg or "/sys/cray/pm_counters/power")
     elif kind == "rapl":
         path = arg
@@ -79,21 +80,23 @@ def _summary_row(record, timelines, m: ExperimentManifest) -> dict:
     return row
 
 
+def _write_csv(path, header: str, rows) -> None:
+    """Header line, then each row's str() values joined by commas; no quoting."""
+    lines = [header] + [",".join(map(str, row)) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def _write_summary(rows, path) -> None:
     keys = SUMMARY_HEADER.split(",")
-    lines = [SUMMARY_HEADER]
-    lines += [",".join(str(row[k]) for k in keys) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, SUMMARY_HEADER, ([row[k] for k in keys] for row in rows))
 
 
 def _write_series(series: analysis.SweepSeries, path) -> None:
-    lines = [SERIES_HEADER]
-    for level, mean_w in series.points:
-        lines.append(
-            f"{series.family},{series.value_mode},{level},{mean_w!r},"
-            f"{series.tdp_w!r},{series.baseline_random_w!r},{series.baseline_fixed_w!r}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, SERIES_HEADER, (
+        (series.family, series.value_mode, level, mean_w,
+         series.tdp_w, series.baseline_random_w, series.baseline_fixed_w)
+        for level, mean_w in series.points
+    ))
 
 
 def execute_run(m: ExperimentManifest, run_dir: Path, run_index: int = 0) -> dict:
@@ -101,7 +104,7 @@ def execute_run(m: ExperimentManifest, run_dir: Path, run_index: int = 0) -> dic
     run_dir.mkdir(parents=True, exist_ok=True)
     phase = "configure"
     try:
-        m.require_backend()
+        get_backend(m.backend_id)
         (run_dir / "manifest").write_text(manifest_to_text(m))
         (run_dir / "manifest.sha256").write_text(manifest_digest(m) + "\n")
 
@@ -275,15 +278,12 @@ def cmd_score(m: ExperimentManifest, out: Path) -> int:
     by_key = sorted(
         ranked, key=lambda sr: (sr[0].family.value, sr[0].value_mode.value, sr[0].level)
     )
-    lines = [SCORE_HEADER]
-    for spec, report in by_key:
-        lines.append(
-            f"{spec.family.value},{spec.level},{spec.value_mode.value},"
-            f"{report.score_per_flop!r},{report.mul_input_toggles},"
-            f"{report.acc_toggles},{report.flops}"
-        )
     out.mkdir(parents=True, exist_ok=True)
-    (out / "score.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out / "score.csv", SCORE_HEADER, (
+        (spec.family.value, spec.level, spec.value_mode.value, report.score_per_flop,
+         report.mul_input_toggles, report.acc_toggles, report.flops)
+        for spec, report in by_key
+    ))
     return EXIT_OK
 
 

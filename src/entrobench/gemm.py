@@ -58,7 +58,7 @@ class RunRecord:
     timeline_ids: tuple[str, ...] = ()
     node_id: str = "local"
     run_index: int = 0
-    # Measured-phase window in the epoch frame of the attached timelines.
+    # Measured-phase window in the time frame of the first attached timeline.
     measured_start_ms: float = 0.0
     measured_end_ms: float = 0.0
     warnings: tuple[str, ...] = ()
@@ -140,7 +140,6 @@ def checksum(c: np.ndarray) -> tuple[float, str]:
 @dataclass(frozen=True)
 class Backend:
     run: object  # callable (a, b, c, alpha, beta) -> c'
-    in_process: bool = True
 
 
 _BACKENDS: dict[str, Backend] = {}
@@ -206,7 +205,7 @@ def make_subprocess_backend(command: list[str], workdir) -> Backend:
             raise SourceError("backend result.manifest is missing wall_seconds")
         return patterns.load_matrix(workdir / result.get("c_out", "c_out.bin"), n)
 
-    return Backend(run=run, in_process=False)
+    return Backend(run=run)
 
 
 def initial_c(spec: PatternSpec) -> float:
@@ -222,7 +221,9 @@ def run_experiment(
 ) -> tuple[RunRecord, dict]:
     """Execute one experiment; returns (record, {timeline_id: Timeline}).
 
-    Samplers (telemetry.Sampler) run concurrently with the workload.  A
+    Samplers (telemetry.Sampler, telemetry.ReplaySampler) run concurrently
+    with the workload.  The measured window is in the time frame of the
+    first started sampler's timeline, the one a run's summary analyses.  A
     sampler that fails to start degrades the run to empty timeline_ids with
     a warning flag rather than aborting: power-less runs still carry valid
     FLOP-rate data.
@@ -238,7 +239,7 @@ def run_experiment(
             sampler.start()
             started.append(sampler)
         except Exception as exc:  # noqa: BLE001 - degrade, don't abort
-            warnings.append(f"sampler {getattr(sampler, 'name', '?')} failed: {exc}")
+            warnings.append(f"sampler {sampler.name} failed: {exc}")
 
     def one_gemm(c):
         return backend.run(pair.a, pair.b, c, config.alpha, config.beta)
@@ -257,21 +258,10 @@ def run_experiment(
     measured = max(t_end - t_start, 1e-9)
 
     timelines = {}
-    window = (0.0, measured * 1000.0)
     for idx, sampler in enumerate(started):
         timeline = sampler.stop()
-        tid = f"{timeline.source}-{idx}"
-        timelines[tid] = timeline
-        if hasattr(getattr(sampler, "source", None), "pairs"):
-            # replayed sources carry their own time base; the recorded span
-            # is the measured window
-            if timeline.samples:
-                window = (timeline.samples[0].t_ms, timeline.samples[-1].t_ms)
-        else:
-            window = (
-                (t_start - sampler.epoch_perf) * 1000.0,
-                (t_end - sampler.epoch_perf) * 1000.0,
-            )
+        timelines[f"{timeline.source}-{idx}"] = timeline
+    window = started[0].window(t_start, t_end) if started else (0.0, measured * 1000.0)
 
     total = flop_count(config.n_dim, config.reps)
     csum, cbits = checksum(c)

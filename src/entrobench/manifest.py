@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from . import fixtures
 from .errors import ConfigError
-from .gemm import DEFAULT_REPS, DEFAULT_WARMUP_SECONDS, GemmConfig, backend_ids
+from .gemm import DEFAULT_REPS, DEFAULT_WARMUP_SECONDS, GemmConfig
 from .patterns import PatternSpec
 from .telemetry import DEFAULT_INTERVAL_MS
 
@@ -83,13 +83,6 @@ class ExperimentManifest:
             backend_id=self.backend_id,
             warmup_seconds=self.warmup_seconds,
         )
-
-    def require_backend(self) -> None:
-        if self.backend_id not in backend_ids():
-            raise ConfigError(
-                f"backend {self.backend_id!r} is not registered "
-                f"(known: {list(backend_ids())})"
-            )
 
     def sweep_levels(self) -> range:
         plan = self.sweep or SweepPlan()

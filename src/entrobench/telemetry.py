@@ -13,7 +13,7 @@ import csv
 import io
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime
 
 from .errors import FormatError, InsufficientDataError, SourceError
@@ -63,20 +63,6 @@ class Timeline:
 
 class SourceGap(Exception):
     """One unreadable poll; recorded as a missing sample, not a value."""
-
-
-class ReplaySource:
-    """Pre-recorded (t_ms, watts) pairs, emitted verbatim by sample_loop."""
-
-    def __init__(self, samples, name: str = "replay"):
-        self.name = name
-        if isinstance(samples, Timeline):
-            self._pairs = [(s.t_ms, s.watts) for s in samples.samples]
-        else:
-            self._pairs = [(float(t), float(w)) for t, w in samples]
-
-    def pairs(self):
-        return list(self._pairs)
 
 
 class CallablePowerSource:
@@ -136,21 +122,13 @@ class EnergyCounterSource:
 def sample_loop(source, interval_ms: float, stop_signal: threading.Event) -> Timeline:
     """Poll a source at a nominal interval until stop_signal fires.
 
-    Actual timestamps are recorded (jitter preserved).  Read failures are
-    recorded as gaps; more than MAX_CONSECUTIVE_FAILURES in a row aborts
-    with a SourceError.
+    Actual timestamps are recorded (jitter preserved) in ms since the
+    loop's own perf_counter epoch, which the timeline carries.  Read
+    failures are recorded as gaps; more than MAX_CONSECUTIVE_FAILURES in a
+    row aborts with a SourceError.
     """
     if interval_ms < 1:
         raise FormatError(f"interval_ms must be >= 1, got {interval_ms}")
-
-    if isinstance(source, ReplaySource):
-        samples = []
-        for t_ms, watts in source.pairs():
-            if stop_signal.is_set():
-                break
-            samples.append(PowerSample(t_ms=t_ms, watts=watts, source=source.name))
-        return Timeline(samples=tuple(samples), source=source.name,
-                        interval_ms=interval_ms)
 
     samples = []
     gaps = 0
@@ -180,12 +158,17 @@ def sample_loop(source, interval_ms: float, stop_signal: threading.Event) -> Tim
         remaining = next_deadline - time.perf_counter()
         if remaining > 0:
             stop_signal.wait(remaining)
-    return Timeline(samples=tuple(samples), source=source.name,
+    return Timeline(samples=tuple(samples), source=source.name, epoch=epoch,
                     interval_ms=interval_ms, gap_count=gaps)
 
 
 class Sampler:
-    """Runs sample_loop on a background thread alongside the workload."""
+    """Runs sample_loop on a background thread alongside the workload.
+
+    Samplers share one interface: name, start(), stop() -> Timeline and
+    window(t_start, t_end), which maps two perf_counter instants to
+    (start_ms, end_ms) in the stopped timeline's time frame.
+    """
 
     def __init__(self, source, interval_ms: float = DEFAULT_INTERVAL_MS):
         self.source = source
@@ -195,10 +178,8 @@ class Sampler:
         self._thread: threading.Thread | None = None
         self._timeline: Timeline | None = None
         self._error: Exception | None = None
-        self.epoch_perf: float = 0.0
 
     def start(self) -> None:
-        self.epoch_perf = time.perf_counter()
         self._thread = threading.Thread(target=self._run, daemon=True)
         self._thread.start()
 
@@ -215,7 +196,39 @@ class Sampler:
         if self._error is not None:
             raise self._error
         assert self._timeline is not None
-        return replace(self._timeline, epoch=self.epoch_perf)
+        return self._timeline
+
+    def window(self, t_start: float, t_end: float) -> tuple[float, float]:
+        epoch = self._timeline.epoch
+        return (t_start - epoch) * 1000.0, (t_end - epoch) * 1000.0
+
+
+class ReplaySampler:
+    """A recorded timeline played back as a sampler, in its own time base.
+
+    No thread: stop() returns every recorded sample relabelled with `name`,
+    with the recorded epoch, and the measured window is the recorded span.
+    """
+
+    def __init__(self, timeline: Timeline, interval_ms: float = DEFAULT_INTERVAL_MS,
+                 name: str = "replay"):
+        self.name = name
+        self._timeline = Timeline(
+            samples=tuple(PowerSample(s.t_ms, s.watts, name) for s in timeline.samples),
+            source=name, epoch=timeline.epoch, interval_ms=interval_ms,
+        )
+
+    def start(self) -> None:
+        pass
+
+    def stop(self) -> Timeline:
+        return self._timeline
+
+    def window(self, t_start: float, t_end: float) -> tuple[float, float]:
+        samples = self._timeline.samples
+        if not samples:
+            return 0.0, (t_end - t_start) * 1000.0
+        return samples[0].t_ms, samples[-1].t_ms
 
 
 def _parse_smi_timestamp(text: str) -> datetime:
@@ -329,15 +342,10 @@ def timeline_from_text(text: str) -> Timeline:
     if len(lines) < 2 or lines[1] != TIMELINE_HEADER:
         raise FormatError(f"expected header {TIMELINE_HEADER!r}")
     samples = []
-    seen = set()
     for row in csv.reader(lines[2:]):
         if not row:
             continue
-        t_ms, watts, source = float(row[0]), float(row[1]), row[2]
-        if t_ms in seen:
-            raise FormatError(f"duplicate t_ms {t_ms}")
-        seen.add(t_ms)
-        samples.append(PowerSample(t_ms=t_ms, watts=watts, source=source))
+        samples.append(PowerSample(t_ms=float(row[0]), watts=float(row[1]), source=row[2]))
     return Timeline(
         samples=tuple(samples),
         source=meta.get("source", "timeline"),

@@ -1,8 +1,9 @@
 import csv
+import dataclasses
 
 import pytest
 
-from entrobench import fixtures, telemetry
+from entrobench import fixtures, records, telemetry
 from entrobench.cli import main
 from entrobench.manifest import (
     ExperimentManifest,
@@ -51,6 +52,39 @@ def test_run_writes_artifacts(tmp_path):
     assert float(rows[0]["mean_w"]) == pytest.approx(350.0)
     assert float(rows[0]["tdp_frac"]) == pytest.approx(350.0 / 400.0)
     assert not (out / "failed").exists()
+
+
+def test_run_with_two_replay_sources_analyses_the_first(tmp_path):
+    long_tl, short_tl = tmp_path / "a.csv", tmp_path / "b.csv"
+    telemetry.write_timeline(  # 1.9 s span
+        fixtures.constant_timeline(310.0, interval_ms=100.0), long_tl)
+    telemetry.write_timeline(  # 0.19 s span
+        fixtures.constant_timeline(390.0, interval_ms=10.0), short_tl)
+    manifest = write_manifest(
+        tmp_path / "m.ini", sources=(f"replay:{long_tl}", f"replay:{short_tl}"))
+    out = tmp_path / "out"
+
+    assert main(["--manifest", str(manifest), "run"]) == 0
+    assert not (out / "failed").exists()
+    assert (out / "timeline-replay-1.csv").exists()
+    assert float(read_csv(out / "summary.csv")[0]["mean_w"]) == 310.0
+    record = records.read_record(out / "record.csv")
+    assert (record.measured_start_ms, record.measured_end_ms) == (0.0, 1900.0)
+
+
+def test_replayed_timeline_files_keep_the_recorded_epoch(tmp_path):
+    tl = tmp_path / "recorded.csv"
+    telemetry.write_timeline(
+        dataclasses.replace(fixtures.constant_timeline(300.0), epoch=12.25), tl)
+    manifest = write_manifest(tmp_path / "m.ini", sources=(f"replay:{tl}",))
+
+    written = []
+    for name in ("out1", "out2"):
+        out = tmp_path / name
+        assert main(["--manifest", str(manifest), "--out", str(out), "run"]) == 0
+        written.append((out / "timeline-replay-0.csv").read_bytes())
+        assert telemetry.read_timeline(out / "timeline-replay-0.csv").epoch == 12.25
+    assert written[0] == written[1]
 
 
 def test_run_without_sources_skips_power_columns(tmp_path):

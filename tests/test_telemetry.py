@@ -1,5 +1,6 @@
 import itertools
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,8 @@ from entrobench.telemetry import (
     CallablePowerSource,
     EnergyCounterSource,
     PowerSample,
-    ReplaySource,
+    ReplaySampler,
+    Sampler,
     Timeline,
     parse_pm_counters,
     parse_power_csv,
@@ -151,12 +153,42 @@ def test_timeline_round_trip_property(watts):
 
 def test_replay_source_emitted_verbatim():
     pairs = [(0.0, 238.5), (100.0, 398.2)]
-    tl = sample_loop(ReplaySource(pairs), 100.0, threading.Event())
+    sampler = ReplaySampler(make_timeline(pairs, epoch=12.25, interval_ms=50.0), 100.0)
+    assert sampler.name == "replay"
+    sampler.start()
+    tl = sampler.stop()
     assert [(s.t_ms, s.watts) for s in tl.samples] == pairs
     assert tl.source == "replay"
-    # Timeline input is also accepted
-    tl2 = sample_loop(ReplaySource(tl, name="replay"), 100.0, threading.Event())
-    assert tl2.samples == tl.samples
+    assert {s.source for s in tl.samples} == {"replay"}
+    assert (tl.epoch, tl.interval_ms) == (12.25, 100.0)
+    # the recorded span is the measured window, whatever the workload took
+    assert sampler.window(5.0, 7.5) == (0.0, 100.0)
+    assert ReplaySampler(make_timeline([]), 100.0).window(5.0, 7.5) == (0.0, 2500.0)
+
+
+def test_live_sampler_window_is_in_the_timeline_frame():
+    reads = []
+
+    def read():
+        reads.append(time.perf_counter())
+        return 100.0
+
+    sampler = Sampler(CallablePowerSource(read, name="cb"), interval_ms=1.0)
+    sampler.start()
+    t_start = time.perf_counter()
+    time.sleep(0.02)
+    t_end = time.perf_counter()
+    tl = sampler.stop()
+    assert tl.samples
+    epoch = tl.epoch
+    assert sampler.window(t_start, t_end) == (
+        (t_start - epoch) * 1000.0, (t_end - epoch) * 1000.0)
+    # each sample is stamped after its read and before the next one
+    read_ms = [sampler.window(r, r)[0] for r in reads]
+    for i, s in enumerate(tl.samples):
+        assert read_ms[i] <= s.t_ms
+        if i + 1 < len(read_ms):
+            assert s.t_ms <= read_ms[i + 1]
 
 
 def test_sample_loop_records_values_then_stops():
