@@ -127,7 +127,8 @@ def execute_run(m: ExperimentManifest, run_dir: Path, run_index: int = 0) -> dic
         _write_summary([row], run_dir / "summary.csv")
         return row
     except Exception as exc:
-        (run_dir / "failed").write_text(f"phase={phase}\nerror={exc}\n")
+        (run_dir / "failed").write_text(
+            f"phase={phase}\ntype={type(exc).__name__}\nerror={exc}\n")
         raise
 
 

@@ -10,7 +10,6 @@ wattage itself.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,19 +98,25 @@ def hamming(p: int, q: int) -> int:
     return ((p ^ q) & 0xFFFFFFFFFFFFFFFF).bit_count()
 
 
-# Port cycles per streamed block (128 KiB per operand word array).  Blocks
-# hold whole lane-groups, so a block is at least one group (n_dim * lanes
-# cycles).  16 Ki measured fastest: larger blocks spend their time in page
-# faults on freshly allocated arrays, smaller ones in per-block overhead.
-BLOCK_CYCLES = 1 << 14
+# Accumulator words per block of the toggle counter: one word per lane of
+# each lane-group in the block (128 KiB of float64).  Blocks hold whole tile
+# rows, so a block is at least one tile row (tm * n_dim words).  The
+# multiplier copies are XORed in chunks of about as many words.
+ACC_BLOCK = 1 << 14
+
+
+def _tile_grid(n: int, schedule: Schedule) -> tuple[int, int]:
+    """Number of tile rows and tile columns in an n x n output."""
+    tm, tn = schedule.tile
+    if n % tm or n % tn:
+        raise ConfigError(f"tile {schedule.tile} does not divide n_dim {n}")
+    return n // tm, n // tn
 
 
 def _output_order(n: int, schedule: Schedule) -> tuple[np.ndarray, np.ndarray]:
     """Row/col indices of output cells in tile-row-major traversal order."""
     tm, tn = schedule.tile
-    if n % tm or n % tn:
-        raise ConfigError(f"tile {schedule.tile} does not divide n_dim {n}")
-    shape = (n // tm, n // tn, tm, tn)  # (tile row, tile col, di, dj)
+    shape = (*_tile_grid(n, schedule), tm, tn)  # (tile row, tile col, di, dj)
     rows = np.arange(0, n, tm)[:, None, None, None] + np.arange(tm)[:, None]
     cols = np.arange(0, n, tn)[:, None, None] + np.arange(tn)
     return np.broadcast_to(rows, shape).ravel(), np.broadcast_to(cols, shape).ravel()
@@ -134,9 +139,8 @@ def _group_block(a: np.ndarray, bt: np.ndarray, rows: np.ndarray,
                      acc_vals=acc.ravel())
 
 
-def stream_blocks(pair: MatrixPair,
-                  schedule: Schedule = Schedule()) -> Iterator[FmaStream]:
-    """Yield the merged FMA-port stream in blocks of whole lane-groups.
+def operand_stream(pair: MatrixPair, schedule: Schedule = Schedule()) -> FmaStream:
+    """The merged FMA-port operand stream, built whole (O(N^3) memory).
 
     Each lane-group of `lanes` consecutive output cells shares the port;
     within a group the k-loop advances once per round-robin pass, so
@@ -144,79 +148,123 @@ def stream_blocks(pair: MatrixPair,
     arithmetic (product then add per cycle), so zero-propagation effects
     in the dot products show up in the accumulator word naturally.
 
-    Blocks cover about BLOCK_CYCLES cycles each, so memory stays O(N^2)
-    plus one block however large N is.
+    score_spec counts the same toggles without building this stream; this
+    is the reference it is tested against.
     """
-    n = pair.spec.n_dim
+    rows, cols = _output_order(pair.spec.n_dim, schedule)
     lanes = schedule.lanes
-    rows, cols = _output_order(n, schedule)
-    rows = rows.reshape(-1, lanes)  # one row per lane-group
-    cols = cols.reshape(-1, lanes)
-    bt = np.ascontiguousarray(pair.b.T)
-    groups = max(1, BLOCK_CYCLES // (n * lanes))
-    for start in range(0, len(rows), groups):
-        yield _group_block(pair.a, bt, rows[start:start + groups], cols[start:start + groups])
+    return _group_block(pair.a, np.ascontiguousarray(pair.b.T),
+                        rows.reshape(-1, lanes), cols.reshape(-1, lanes))
 
 
-def operand_stream(pair: MatrixPair, schedule: Schedule = Schedule()) -> FmaStream:
-    """The whole port stream in one piece (O(N^3) memory; see stream_blocks)."""
-    blocks = list(stream_blocks(pair, schedule))
-    return FmaStream(
-        a_vals=np.concatenate([blk.a_vals for blk in blocks]),
-        b_vals=np.concatenate([blk.b_vals for blk in blocks]),
-        acc_vals=np.concatenate([blk.acc_vals for blk in blocks]),
-    )
+def _run_toggles(words: np.ndarray) -> int:
+    """Toggles down axis 0 of a (cycles, runs) array; each column is one run."""
+    w = words.view(np.uint64)
+    return int(np.bitwise_count(w[1:] ^ w[:-1]).sum())
 
 
-def _block_toggles(block: FmaStream):
-    """Cycles, in-block toggles, first and last words of one non-empty block.
-
-    The last three are lists over the a, b and acc words.
-    """
-    words = [np.ascontiguousarray(v, dtype=np.float64).view(np.uint64)
-             for v in (block.a_vals, block.b_vals, block.acc_vals)]
-    toggles = [int(np.bitwise_count(w[1:] ^ w[:-1]).sum()) for w in words]
-    return len(block), toggles, [w[0] for w in words], [w[-1] for w in words]
+def _boundary_toggles(first: np.ndarray, last: np.ndarray) -> int:
+    """Toggles from each lane-group's last word to the next group's first."""
+    return int(np.bitwise_count(first.view(np.uint64)[1:]
+                                ^ last.view(np.uint64)[:-1]).sum())
 
 
-def toggle_score(stream: FmaStream | Iterable[FmaStream],
-                 w_mul: float = 1.0, w_acc: float = 1.0) -> ToggleReport:
-    """Cycle-to-cycle toggle totals over the port stream, per FLOP.
-
-    `stream` is one FmaStream or an iterable of consecutive blocks of one
-    stream; each block's first words are compared with the previous
-    block's last, so the totals do not depend on where blocks split.
-    """
-    blocks = [stream] if isinstance(stream, FmaStream) else stream
-    flops = mul = acc = 0
-    last = None
-    # map() drops each block once it is counted, so one block is alive at a time
-    for cycles, toggles, first, final in map(_block_toggles, filter(len, blocks)):
-        if last is not None:
-            toggles = [t + hamming(int(p), int(q)) for t, p, q in zip(toggles, last, first)]
-        mul += toggles[0] + toggles[1]
-        acc += toggles[2]
-        flops += cycles
-        last = final
+def _report(flops: int, mul: int, acc: int, w_mul: float, w_acc: float) -> ToggleReport:
     if flops == 0:
         raise ConfigError("empty operand stream")
-    score = (w_mul * mul + w_acc * acc) / flops
     return ToggleReport(
         flops=flops,
         mul_input_toggles=mul,
         acc_toggles=acc,
-        score_per_flop=score,
+        score_per_flop=(w_mul * mul + w_acc * acc) / flops,
         w_mul=w_mul,
         w_acc=w_acc,
     )
 
 
+def toggle_score(stream: FmaStream, w_mul: float = 1.0, w_acc: float = 1.0) -> ToggleReport:
+    """Cycle-to-cycle toggle totals over the port stream, per FLOP."""
+    words = [np.ascontiguousarray(v, dtype=np.float64)
+             for v in (stream.a_vals, stream.b_vals, stream.acc_vals)]
+    mul = _run_toggles(words[0]) + _run_toggles(words[1])
+    return _report(len(stream), mul, _run_toggles(words[2]), w_mul, w_acc)
+
+
 def score_spec(spec, schedule: Schedule = Schedule(),
                w_mul: float = 1.0, w_acc: float = 1.0) -> ToggleReport:
-    """Generate a spec's matrices and score its operand stream."""
+    """Generate a spec's matrices and score their port stream.
+
+    The totals equal toggle_score(operand_stream(pair, schedule)), but the
+    stream is never built.  A lane-group's A words depend only on its tile
+    row and its place in the tile, and its B words only on its tile column,
+    so their in-group toggles are counted once on N^2-sized copies and
+    multiplied by the number of tile columns (A) or rows (B).  Accumulator
+    words are made k-outer, one k step of every lane-group in a block of
+    tile rows at a time, with the same adds in the same order as the
+    stream.  Toggles between consecutive lane-groups are counted last,
+    from each group's first and last words.  Memory is O(N^2): the
+    matrices, the two copies and about two blocks.
+    """
     from .patterns import generate
 
-    return toggle_score(stream_blocks(generate(spec), schedule), w_mul, w_acc)
+    n, lanes = spec.n_dim, schedule.lanes
+    tm, tn = schedule.tile
+    tile_rows, tile_cols = _tile_grid(n, schedule)
+    tile_groups = tm * tn // lanes
+    cell = np.arange(tm * tn).reshape(tile_groups, lanes).T  # [l, g]: cell in its tile
+    # a2[k, l, R, g] = a[row of lane l of group g in tile row R, k];
+    # b2[k, l, C, g] = b[k, column of lane l of group g in tile column C].
+    # Each matrix is dropped once its copy is made, to keep the peak low.
+    pair = generate(spec)
+    b = pair.b
+    a2 = np.take(pair.a.T, np.arange(0, n, tm)[:, None] + cell[:, None] // tn, axis=1)
+    del pair
+    b2 = np.take(b, np.arange(0, n, tn)[:, None] + cell[:, None] % tn, axis=1)
+    del b
+
+    grid = (2, tile_rows, tile_cols, tile_groups)
+    mul = 0
+    for copy, repeats, ends in (
+            (a2, tile_cols, a2[[0, -1], [0, -1]][:, :, None, :]),  # (2, R, 1, g)
+            (b2, tile_rows, b2[[0, -1], [0, -1]][:, None])):       # (2, 1, C, g)
+        runs = copy.reshape(n * lanes, -1)
+        rows = max(1, ACC_BLOCK // runs.shape[1])
+        mul += repeats * sum(_run_toggles(runs[t:t + rows + 1])  # one row overlap
+                             for t in range(0, len(runs) - 1, rows))
+        mul += _boundary_toggles(*np.broadcast_to(ends, grid).reshape(2, -1))
+
+    row_groups = tile_cols * tile_groups  # lane-groups per tile row
+    step = max(1, ACC_BLOCK // (tm * n))  # tile rows per block
+    width = min(step, tile_rows) * row_groups
+    accs, prods = np.empty((lanes + 1) * width), np.empty(lanes * width)
+    first, last = np.empty((2, tile_rows * row_groups), dtype=np.uint64)
+    acc = 0
+    for r0 in range(0, tile_rows, step):
+        r1 = min(r0 + step, tile_rows)
+        groups = slice(r0 * row_groups, r1 * row_groups)
+        m = (r1 - r0) * row_groups
+        # y[1 + l, g] is lane l's accumulator in the block's g-th group and
+        # y[0] the last lane's one cycle earlier, so the words of a k step
+        # run down axis 0 (at k = 0, y[0] has no word to toggle from).
+        # -0.0 is the additive identity, so the first add leaves the first
+        # product as it is, as np.cumsum does.
+        y = accs[:(lanes + 1) * m].reshape(lanes + 1, m)
+        y.fill(-0.0)
+        prod = prods[:lanes * m].reshape(lanes, m)
+        products = prod.reshape(lanes, r1 - r0, tile_cols, tile_groups)
+        words, toggled = y.view(np.uint64), prod.view(np.uint64)
+        a_blk = a2[:, :, r0:r1, None, :]
+        for k in range(n):  # k outer: ascending, one add per cycle and lane
+            np.multiply(a_blk[k], b2[k, :, None], out=products)
+            y[0] = y[-1]
+            np.add(y[1:], prod, out=y[1:])
+            np.bitwise_xor(words[1:], words[:-1], out=toggled)
+            acc += int(np.bitwise_count(toggled[0 if k else 1:]).sum())
+            if k == 0:
+                first[groups] = words[1]
+        last[groups] = words[-1]
+    acc += _boundary_toggles(first, last)
+    return _report(n ** 3, mul, acc, w_mul, w_acc)
 
 
 def predict_ordering(specs, schedule: Schedule = Schedule(),

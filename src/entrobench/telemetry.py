@@ -342,15 +342,23 @@ def timeline_from_text(text: str) -> Timeline:
     if len(lines) < 2 or lines[1] != TIMELINE_HEADER:
         raise FormatError(f"expected header {TIMELINE_HEADER!r}")
     samples = []
-    for row in csv.reader(lines[2:]):
+    for line_no, row in enumerate(csv.reader(lines[2:]), start=3):
         if not row:
             continue
-        samples.append(PowerSample(t_ms=float(row[0]), watts=float(row[1]), source=row[2]))
+        try:
+            samples.append(PowerSample(t_ms=float(row[0]), watts=float(row[1]), source=row[2]))
+        except (IndexError, ValueError) as exc:
+            raise FormatError(f"timeline line {line_no}: malformed row {row!r}") from exc
+    try:
+        epoch = float(meta.get("epoch", 0.0))
+        interval_ms = float(meta.get("interval_ms", DEFAULT_INTERVAL_MS))
+    except ValueError as exc:
+        raise FormatError(f"timeline line 1: malformed metadata: {exc}") from exc
     return Timeline(
         samples=tuple(samples),
         source=meta.get("source", "timeline"),
-        epoch=float(meta.get("epoch", 0.0)),
-        interval_ms=float(meta.get("interval_ms", DEFAULT_INTERVAL_MS)),
+        epoch=epoch,
+        interval_ms=interval_ms,
     )
 
 

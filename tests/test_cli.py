@@ -124,6 +124,30 @@ def test_missing_replay_file_exits_and_marks_phase(tmp_path):
     assert "phase=telemetry-setup" in failed
 
 
+@pytest.mark.parametrize("row", ["0.0,abc,replay", "0.0,1.0"])
+def test_malformed_replay_timeline_exits_source(tmp_path, capsys, row):
+    tl = tmp_path / "recorded.csv"
+    write_replay_timeline(tl)
+    tl.write_text(tl.read_text() + row + "\n")
+    manifest = write_manifest(tmp_path / "m.ini", sources=(f"replay:{tl}",))
+    assert main(["--manifest", str(manifest), "run"]) == 3
+    assert "line " in capsys.readouterr().err
+    failed = (tmp_path / "out" / "failed").read_text().splitlines()
+    assert failed[:2] == ["phase=telemetry-setup", "type=FormatError"]
+
+
+def test_replay_of_run_with_malformed_timeline_exits_source(tmp_path, capsys):
+    tl = tmp_path / "recorded.csv"
+    write_replay_timeline(tl)
+    manifest = write_manifest(tmp_path / "m.ini", sources=(f"replay:{tl}",))
+    out = tmp_path / "out"
+    assert main(["--manifest", str(manifest), "run"]) == 0
+    recorded = out / "timeline-replay-0.csv"
+    recorded.write_text(recorded.read_text() + "0.0,abc,replay\n")
+    assert main(["--out", str(tmp_path / "rp"), "replay", str(out)]) == 3
+    assert "line " in capsys.readouterr().err
+
+
 def test_sweep_runs_all_levels_and_modes(tmp_path):
     tl = tmp_path / "recorded.csv"
     write_replay_timeline(tl)

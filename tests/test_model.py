@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entrobench import model
+from entrobench import model, patterns
 from entrobench.errors import ConfigError
 from entrobench.model import (
     FmaStream,
@@ -16,10 +16,9 @@ from entrobench.model import (
     predict_ordering,
     schedule_for_lanes,
     score_spec,
-    stream_blocks,
     toggle_score,
 )
-from entrobench.patterns import Family, PatternSpec, ValueMode, generate
+from entrobench.patterns import Family, MatrixPair, PatternSpec, ValueMode, generate
 
 
 def test_bits64_known_patterns():
@@ -160,16 +159,14 @@ def test_empty_stream_rejected():
     empty = np.empty(0)
     with pytest.raises(ConfigError):
         toggle_score(FmaStream(a_vals=empty, b_vals=empty, acc_vals=empty))
-    with pytest.raises(ConfigError):
-        toggle_score([])
-    with pytest.raises(ConfigError):
-        toggle_score(iter(()))
 
 
 def test_tile_must_divide_dimension():
     spec = PatternSpec(family="baseline_random", n_dim=4, seed=0)
     with pytest.raises(ConfigError):
         operand_stream(generate(spec), Schedule(lanes=3, tile=(1, 3)))
+    with pytest.raises(ConfigError):
+        score_spec(spec, Schedule(lanes=3, tile=(1, 3)))
 
 
 def test_random_scores_above_fixed_baseline():
@@ -222,54 +219,50 @@ def test_score_is_deterministic():
 
 
 @pytest.mark.parametrize("lanes,tile", [(1, (1, 1)), (2, (1, 2)),
-                                        (4, (2, 2)), (8, (2, 4))])
+                                        (4, (2, 2)), (8, (2, 4)),
+                                        (2, (2, 2)), (2, (4, 2)),
+                                        (1, (2, 2)), (6, (2, 3))])
 @pytest.mark.parametrize("mode", list(ValueMode))
 @pytest.mark.parametrize("family", list(Family))
 def test_block_streamed_toggles_equal_whole_stream(family, mode, lanes, tile,
                                                    monkeypatch):
     n = 16
     schedule = Schedule(lanes=lanes, tile=tile)
-    pair = generate(PatternSpec(family=family, n_dim=n, level=2,
-                                value_mode=mode, seed=4))
-    whole = operand_stream(pair, schedule)
-    assert len(list(stream_blocks(pair, schedule))) == 1  # no boundary yet
-    expected = toggle_score(whole)
+    spec = PatternSpec(family=family, n_dim=n, level=2, value_mode=mode, seed=4)
+    if n % tile[1]:  # no power-of-two n_dim takes a tile 3 wide
+        with pytest.raises(ConfigError):
+            operand_stream(generate(spec), schedule)
+        with pytest.raises(ConfigError):
+            score_spec(spec, schedule)
+        return
+    expected = toggle_score(operand_stream(generate(spec), schedule))
+    assert model.ACC_BLOCK >= n * n  # one block
+    assert score_spec(spec, schedule) == expected
 
-    group = n * lanes
-    # one lane-group per block, then 3 groups per block (3 divides no
-    # group count here, so the last block is short)
-    for block_cycles in (1, 3 * group):
-        monkeypatch.setattr(model, "BLOCK_CYCLES", block_cycles)
-        blocks = list(stream_blocks(pair, schedule))
-        assert len(blocks) > 1
-        assert all(len(blk) % group == 0 for blk in blocks)
-        assert toggle_score(iter(blocks)) == expected
-        rejoined = operand_stream(pair, schedule)
-        for name in ("a_vals", "b_vals", "acc_vals"):
-            np.testing.assert_array_equal(
-                getattr(rejoined, name).view(np.uint64),
-                getattr(whole, name).view(np.uint64))
+    # one tile row per block, then 3 tile rows per block (3 divides no
+    # tile-row count here, so the last block is short); groups smaller
+    # than a tile put group boundaries inside tiles as well
+    for block in (1, 3 * tile[0] * n):
+        monkeypatch.setattr(model, "ACC_BLOCK", block)
+        assert score_spec(spec, schedule) == expected
 
 
-def test_toggles_carry_across_block_boundary():
-    # every word changes exactly at the boundary and nowhere else
-    first = FmaStream(a_vals=np.array([2.0, 2.0]), b_vals=np.array([0.5, 0.5]),
-                      acc_vals=np.array([1.0, 1.0]))
-    second = FmaStream(a_vals=np.array([0.5]), b_vals=np.array([2.0]),
-                       acc_vals=np.array([3.0]))
-    empty = FmaStream(a_vals=np.empty(0), b_vals=np.empty(0),
-                      acc_vals=np.empty(0))
-    whole = FmaStream(
-        a_vals=np.concatenate([first.a_vals, second.a_vals]),
-        b_vals=np.concatenate([first.b_vals, second.b_vals]),
-        acc_vals=np.concatenate([first.acc_vals, second.acc_vals]),
-    )
-    report = toggle_score([first, second])
-    assert report == toggle_score(whole)
-    assert report == toggle_score([first, empty, second])
-    assert report.flops == 3
-    assert report.mul_input_toggles == 2 * hamming(bits64(2.0), bits64(0.5))
-    assert report.acc_toggles == hamming(bits64(1.0), bits64(3.0)) > 0
+@pytest.mark.parametrize("lanes,tile", [(1, (1, 1)), (4, (2, 2)), (2, (1, 4))])
+def test_score_spec_keeps_signed_zeros_and_subnormals(lanes, tile, monkeypatch):
+    # patterns hold no negative values; these operands make -0.0 first
+    # products and sign changes in the accumulators, and stay finite
+    n = 8
+    rng = np.random.default_rng(5)
+    values = np.array([-1.5, -0.0, 0.0, 0.75, 3.0, -2.5e-310])
+    spec = PatternSpec(family="baseline_random", n_dim=n)
+    pair = MatrixPair(a=rng.choice(values, (n, n)), b=rng.choice(values, (n, n)),
+                      spec=spec)
+    monkeypatch.setattr(patterns, "generate", lambda _: pair)
+    schedule = Schedule(lanes=lanes, tile=tile)
+    expected = toggle_score(operand_stream(pair, schedule))
+    for block in (1, model.ACC_BLOCK):
+        monkeypatch.setattr(model, "ACC_BLOCK", block)
+        assert score_spec(spec, schedule) == expected
 
 
 def test_score_spec_memory_is_bounded():

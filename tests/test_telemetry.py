@@ -140,6 +140,23 @@ def test_timeline_text_rejects_unknown_schema_and_dupes():
         timeline_from_text(tl_text)
 
 
+@pytest.mark.parametrize("meta,row,line", [
+    ("epoch=0.0", "20.0,abc,x", "line 4"),  # watts not a number
+    ("epoch=0.0", "20.0,1.0", "line 4"),    # source column missing
+    ("epoch=abc", "20.0,1.0,x", "line 1"),  # metadata not a number
+])
+def test_timeline_text_malformed_row_reports_line(meta, row, line):
+    tl_text = (
+        f"# entrobench-timeline v1 source=x {meta} interval_ms=100.0\n"
+        "t_ms,watts,source\n"
+        "10.0,1.0,x\n"
+        f"{row}\n"
+    )
+    with pytest.raises(FormatError) as err:
+        timeline_from_text(tl_text)
+    assert line in str(err.value)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.lists(st.floats(min_value=0.0, max_value=1e4,
