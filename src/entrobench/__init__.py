@@ -21,8 +21,6 @@ from .model import (
     FmaStream,
     Schedule,
     ToggleReport,
-    bits64,
-    hamming,
     operand_stream,
     predict_ordering,
     toggle_score,
@@ -40,7 +38,6 @@ from .telemetry import (
     PowerSample,
     Timeline,
     parse_pm_counters,
-    parse_power_csv,
     read_timeline,
     sample_loop,
     write_timeline,

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, fixtures, model, records, telemetry
-from .errors import ConfigError, EntrobenchError, InsufficientDataError, SourceError
+from .errors import ConfigError, EntrobenchError, FormatError, InsufficientDataError, SourceError
 from .gemm import get_backend, run_experiment
 from .manifest import (
     ExperimentManifest,
@@ -67,10 +67,9 @@ def _summary_row(record, timelines, m: ExperimentManifest) -> dict:
         "flop_rate": repr(record.flop_rate),
         "pj_per_flop_vs_fixed": "",
     }
-    if timelines:
-        first_id = record.timeline_ids[0] if record.timeline_ids else next(iter(timelines))
+    if record.timeline_ids:
         stats = analysis.steady_state_window(
-            timelines[first_id], record, trim_fraction=m.trim_fraction
+            timelines[record.timeline_ids[0]], record, trim_fraction=m.trim_fraction
         )
         row["mean_w"] = repr(stats.mean_w)
         row["tdp_frac"] = repr(analysis.tdp_fraction(stats.mean_w, m.tdp_w))
@@ -133,11 +132,15 @@ def execute_run(m: ExperimentManifest, run_dir: Path, run_index: int = 0) -> dic
 
 
 def _load_run_dir(run_dir: Path):
+    """A run's record and the timelines it names; other files are ignored."""
     record = records.read_record(run_dir / "record.csv")
     timelines = {}
-    for path in sorted(run_dir.glob("timeline-*.csv")):
-        tid = path.stem[len("timeline-"):]
-        timelines[tid] = telemetry.read_timeline(path)
+    for tid in record.timeline_ids:
+        path = run_dir / f"timeline-{tid}.csv"
+        try:
+            timelines[tid] = telemetry.read_timeline(path)
+        except OSError as exc:
+            raise FormatError(f"record names timeline {tid!r}: {exc}") from exc
     return record, timelines
 
 

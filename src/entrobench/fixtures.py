@@ -1,7 +1,7 @@
 """Published measurement series embedded as replayable fixtures.
 
 These are the recorded A100 sweep curves (mean watts per level for each
-pattern family and value mode, 16K matrices) plus the headline GPU/CPU
+pattern family and value mode, 16K matrices) plus the headline GPU
 reference numbers.  They let the full analysis pipeline run at desk scale:
 each point is materialized as a constant-power timeline whose steady-state
 mean reproduces the recorded wattage exactly.
@@ -21,14 +21,6 @@ GPU_FLOP_RATE_RANDOM = 18.6e12
 GPU_FLOP_RATE_FIXED = 19.4e12
 GPU_N_DIM = 16384
 GPU_REPS = 100
-
-CPU_RANDOM_W = 188.4
-CPU_FIXED_W = 157.7
-CPU_TDP_W = 280.0
-CPU_AGGREGATE_FLOP_RATE = 2.0e12
-CPU_N_DIM = 3344
-CPU_REPS = 30
-CPU_CORES = 64
 
 # Mean power [W] per level n = 0..14, one tuple per (family, value_mode).
 POWER_SWEEPS_W = {

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from . import fixtures
 from .errors import ConfigError
 from .gemm import DEFAULT_REPS, DEFAULT_WARMUP_SECONDS, GemmConfig
-from .patterns import PatternSpec
+from .patterns import Family, PatternSpec, ValueMode
 from .telemetry import DEFAULT_INTERVAL_MS
 
 SCHEMA_VERSION = 1
@@ -38,7 +38,7 @@ class ModelPlan:
     w_mul: float = 1.0
     w_acc: float = 1.0
     # Run-time guard: scoring costs ~N^3 port cycles per spec, while memory
-    # stays O(N^2) plus one streamed block.
+    # stays O(N^2) plus about two blocks.
     max_n_dim: int = 1024
 
 
@@ -153,69 +153,66 @@ def manifest_from_text(text: str) -> ExperimentManifest:
     except configparser.Error as exc:
         raise ConfigError(f"unparseable manifest: {exc}") from exc
 
-    def get(section, key, default=None):
+    def get(section, key, default=None, convert=str):
         if cp.has_option(section, key):
-            return cp.get(section, key)
-        if default is None:
+            value = cp.get(section, key)
+        elif default is None:
             raise ConfigError(f"manifest missing [{section}] {key}")
-        return default
+        else:
+            value = default
+        try:
+            return convert(value)
+        except ValueError as exc:
+            raise ConfigError(f"bad manifest value [{section}] {key}: {exc}") from exc
 
-    try:
-        pattern = PatternSpec(
-            family=get("pattern", "family"),
-            n_dim=int(get("pattern", "n")),
-            level=int(get("pattern", "level", "0")),
-            value_mode=get("pattern", "value_mode", "independent"),
-            seed=int(get("pattern", "seed", "0")),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad pattern section: {exc}") from exc
+    pattern = PatternSpec(
+        family=get("pattern", "family", convert=Family),
+        n_dim=get("pattern", "n", convert=int),
+        level=get("pattern", "level", "0", int),
+        value_mode=get("pattern", "value_mode", "independent", ValueMode),
+        seed=get("pattern", "seed", "0", int),
+    )
 
     sweep = None
     if cp.has_section("sweep"):
-        level_max = get("sweep", "level_max", "")
-        modes = [s for s in get("sweep", "value_modes",
-                                "independent,fixed_common").split(",") if s]
         sweep = SweepPlan(
-            level_min=int(get("sweep", "level_min", "0")),
-            level_max=int(level_max) if level_max else None,
-            value_modes=tuple(modes),
+            level_min=get("sweep", "level_min", "0", int),
+            level_max=get("sweep", "level_max", "", lambda t: int(t) if t else None),
+            value_modes=get("sweep", "value_modes", "independent,fixed_common",
+                            lambda t: tuple(ValueMode(s).value for s in t.split(",") if s)),
         )
 
     model = ModelPlan(
-        lanes=int(get("model", "lanes", "1")),
-        tile_m=int(get("model", "tile_m", "1")),
-        tile_n=int(get("model", "tile_n", "1")),
-        w_mul=float(get("model", "w_mul", "1.0")),
-        w_acc=float(get("model", "w_acc", "1.0")),
-        max_n_dim=int(get("model", "max_n_dim", "1024")),
+        lanes=get("model", "lanes", "1", int),
+        tile_m=get("model", "tile_m", "1", int),
+        tile_n=get("model", "tile_n", "1", int),
+        w_mul=get("model", "w_mul", "1.0", float),
+        w_acc=get("model", "w_acc", "1.0", float),
+        max_n_dim=get("model", "max_n_dim", "1024", int),
     )
 
     sources = tuple(s for s in get("telemetry", "sources", "").split(",") if s)
     return ExperimentManifest(
         pattern=pattern,
-        reps=int(get("gemm", "reps", str(DEFAULT_REPS))),
-        alpha=float(get("gemm", "alpha", "1.0")),
-        beta=float(get("gemm", "beta", "1.0")),
+        reps=get("gemm", "reps", str(DEFAULT_REPS), int),
+        alpha=get("gemm", "alpha", "1.0", float),
+        beta=get("gemm", "beta", "1.0", float),
         backend_id=get("gemm", "backend", "reference"),
-        warmup_seconds=float(get("gemm", "warmup_seconds",
-                                 repr(DEFAULT_WARMUP_SECONDS))),
+        warmup_seconds=get("gemm", "warmup_seconds", repr(DEFAULT_WARMUP_SECONDS), float),
         sources=sources,
-        interval_ms=float(get("telemetry", "interval_ms",
-                              repr(DEFAULT_INTERVAL_MS))),
-        tdp_w=float(get("analysis", "tdp_w", repr(fixtures.TDP_W))),
-        baseline_random_w=float(get("analysis", "baseline_random_w",
-                                    repr(fixtures.RANDOM_INPUT_W))),
-        baseline_fixed_w=float(get("analysis", "baseline_fixed_w",
-                                   repr(fixtures.FIXED_INPUT_W))),
-        trim_fraction=float(get("analysis", "trim_fraction", "0.05")),
+        interval_ms=get("telemetry", "interval_ms", repr(DEFAULT_INTERVAL_MS), float),
+        tdp_w=get("analysis", "tdp_w", repr(fixtures.TDP_W), float),
+        baseline_random_w=get("analysis", "baseline_random_w",
+                              repr(fixtures.RANDOM_INPUT_W), float),
+        baseline_fixed_w=get("analysis", "baseline_fixed_w",
+                             repr(fixtures.FIXED_INPUT_W), float),
+        trim_fraction=get("analysis", "trim_fraction", "0.05", float),
         node_id=get("experiment", "node", "local"),
-        repetitions_per_node=int(get("experiment", "repetitions", "1")),
+        repetitions_per_node=get("experiment", "repetitions", "1", int),
         out_dir=get("experiment", "out", "out"),
         sweep=sweep,
         model=model,
-        schema_version=int(get("experiment", "schema_version",
-                               str(SCHEMA_VERSION))),
+        schema_version=get("experiment", "schema_version", str(SCHEMA_VERSION), int),
     )
 
 

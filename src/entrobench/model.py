@@ -30,7 +30,6 @@ class Schedule:
 
     lanes: int = 1
     tile: tuple[int, int] = (1, 1)
-    traversal: str = "k_inner_row_major"
 
     def __post_init__(self):
         if self.lanes < 1:
@@ -43,8 +42,6 @@ class Schedule:
                 f"tile of {tm * tn} cells does not divide evenly into "
                 f"{self.lanes} lanes"
             )
-        if self.traversal != "k_inner_row_major":
-            raise ConfigError(f"unknown traversal {self.traversal!r}")
 
 
 def schedule_for_lanes(lanes: int) -> Schedule:
@@ -84,18 +81,6 @@ class ToggleReport:
     mul_input_toggles: int
     acc_toggles: int
     score_per_flop: float
-    w_mul: float = 1.0
-    w_acc: float = 1.0
-
-
-def bits64(x: float) -> int:
-    """IEEE-754 binary64 bit pattern of x as an unsigned integer."""
-    return int(np.float64(x).view(np.uint64))
-
-
-def hamming(p: int, q: int) -> int:
-    """Number of differing bits between two 64-bit patterns."""
-    return ((p ^ q) & 0xFFFFFFFFFFFFFFFF).bit_count()
 
 
 # Accumulator words per block of the toggle counter: one word per lane of
@@ -114,7 +99,7 @@ def _tile_grid(n: int, schedule: Schedule) -> tuple[int, int]:
 
 
 def _output_order(n: int, schedule: Schedule) -> tuple[np.ndarray, np.ndarray]:
-    """Row/col indices of output cells in tile-row-major traversal order."""
+    """Row/col indices of output cells in tile-row-major order."""
     tm, tn = schedule.tile
     shape = (*_tile_grid(n, schedule), tm, tn)  # (tile row, tile col, di, dj)
     rows = np.arange(0, n, tm)[:, None, None, None] + np.arange(tm)[:, None]
@@ -177,8 +162,6 @@ def _report(flops: int, mul: int, acc: int, w_mul: float, w_acc: float) -> Toggl
         mul_input_toggles=mul,
         acc_toggles=acc,
         score_per_flop=(w_mul * mul + w_acc * acc) / flops,
-        w_mul=w_mul,
-        w_acc=w_acc,
     )
 
 

@@ -24,10 +24,6 @@ from .errors import ConfigError
 # Splitting constant so A and B get decorrelated streams from one user seed.
 SEED_SPLIT = 0x9E3779B97F4A7C15
 
-# Recorded in run manifests; the generator sequence for a given identifier
-# must stay stable across releases (numpy guarantees PCG64 stream stability).
-PRNG_ALGORITHM = "numpy-pcg64"
-
 _U64 = 1 << 64
 
 

@@ -1,8 +1,8 @@
 """Power telemetry collection and parsing.
 
-Timelines are ordered (t_ms, watts) samples from one source: a live GPU
-management-tool CSV stream, a Cray-style pm_counters file, a RAPL-style
-energy counter (power derived by finite differences), or a replay file.
+Timelines are ordered (t_ms, watts) samples from one source: a Cray-style
+pm_counters file, a RAPL-style energy counter (power derived by finite
+differences), or a replay file.
 Samples are taken at face value; no smoothing, and parsers never invent
 samples for gaps.
 """
@@ -14,9 +14,8 @@ import io
 import threading
 import time
 from dataclasses import dataclass
-from datetime import datetime
 
-from .errors import FormatError, InsufficientDataError, SourceError
+from .errors import FormatError, SourceError
 
 DEFAULT_INTERVAL_MS = 100.0
 MAX_CONSECUTIVE_FAILURES = 10
@@ -45,7 +44,6 @@ class Timeline:
     epoch: float = 0.0
     interval_ms: float = DEFAULT_INTERVAL_MS
     gap_count: int = 0
-    skipped_rows: int = 0
 
     def __post_init__(self):
         if self.interval_ms <= 0:
@@ -63,17 +61,6 @@ class Timeline:
 
 class SourceGap(Exception):
     """One unreadable poll; recorded as a missing sample, not a value."""
-
-
-class CallablePowerSource:
-    """Wraps a zero-argument callable returning instantaneous watts."""
-
-    def __init__(self, fn, name: str = "power"):
-        self._fn = fn
-        self.name = name
-
-    def read(self) -> float:
-        return float(self._fn())
 
 
 class FilePowerSource:
@@ -229,72 +216,6 @@ class ReplaySampler:
         if not samples:
             return 0.0, (t_end - t_start) * 1000.0
         return samples[0].t_ms, samples[-1].t_ms
-
-
-def _parse_smi_timestamp(text: str) -> datetime:
-    for fmt in ("%Y/%m/%d %H:%M:%S.%f", "%Y/%m/%d %H:%M:%S"):
-        try:
-            return datetime.strptime(text.strip(), fmt)
-        except ValueError:
-            continue
-    raise FormatError(f"unparseable timestamp {text!r}")
-
-
-_UNAVAILABLE = {"N/A", "[Not Supported]", "[N/A]"}
-
-
-def parse_power_csv(text: str) -> Timeline:
-    """Parse the GPU management tool's query-CSV dialect.
-
-    Expected: a header row naming timestamp and power.draw columns, then
-    rows like `2022/09/01 10:00:00.123, 238.51 W`.  Timestamps become t_ms
-    relative to the first valid row; unavailable readings are skipped and
-    counted.
-    """
-    lines = text.splitlines()
-    header_idx = None
-    for idx, line in enumerate(lines):
-        if line.strip():
-            header_idx = idx
-            break
-    if header_idx is None:
-        raise FormatError("empty power CSV")
-    header = [cell.strip().lower() for cell in lines[header_idx].split(",")]
-    if len(header) < 2 or "timestamp" not in header[0] or "power.draw" not in header[1]:
-        raise FormatError(
-            f"line {header_idx + 1}: expected 'timestamp, power.draw [W]' header, "
-            f"got {lines[header_idx]!r}"
-        )
-
-    samples = []
-    skipped = 0
-    t0 = None
-    for lineno, line in enumerate(lines[header_idx + 1:], start=header_idx + 2):
-        if not line.strip():
-            continue
-        cells = [cell.strip() for cell in line.split(",")]
-        if len(cells) < 2:
-            raise FormatError(f"line {lineno}: expected 2 columns, got {line!r}")
-        if cells[1] in _UNAVAILABLE:
-            skipped += 1
-            continue
-        stamp = _parse_smi_timestamp(cells[0])
-        value = cells[1]
-        if value.endswith("W"):
-            value = value[:-1].strip()
-        try:
-            watts = float(value)
-        except ValueError:
-            raise FormatError(f"line {lineno}: bad power value {cells[1]!r}") from None
-        if t0 is None:
-            t0 = stamp
-        t_ms = (stamp - t0).total_seconds() * 1000.0
-        samples.append(PowerSample(t_ms=t_ms, watts=watts, source="power_csv"))
-
-    if not samples:
-        raise InsufficientDataError("power CSV contains zero valid rows")
-    return Timeline(samples=tuple(samples), source="power_csv",
-                    skipped_rows=skipped)
 
 
 def parse_pm_counters(text: str) -> PowerSample:

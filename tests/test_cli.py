@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import re
 
 import pytest
 
@@ -146,6 +147,53 @@ def test_replay_of_run_with_malformed_timeline_exits_source(tmp_path, capsys):
     recorded.write_text(recorded.read_text() + "0.0,abc,replay\n")
     assert main(["--out", str(tmp_path / "rp"), "replay", str(out)]) == 3
     assert "line " in capsys.readouterr().err
+
+
+def test_replay_ignores_timelines_the_record_does_not_name(tmp_path):
+    tl = tmp_path / "recorded.csv"
+    write_replay_timeline(tl)
+    out = tmp_path / "out"
+    with_power = write_manifest(tmp_path / "a.ini", sources=(f"replay:{tl}",))
+    assert main(["--manifest", str(with_power), "run"]) == 0
+    # a power-less run into the same directory leaves the earlier timeline behind
+    assert main(["--manifest", str(write_manifest(tmp_path / "b.ini")), "run"]) == 0
+    assert (out / "timeline-replay-0.csv").exists()
+    assert read_csv(out / "summary.csv")[0]["mean_w"] == ""
+
+    rp = tmp_path / "rp"
+    assert main(["--out", str(rp), "replay", str(out)]) == 0
+    assert (rp / "summary.csv").read_bytes() == (out / "summary.csv").read_bytes()
+
+
+def test_replay_of_run_with_missing_named_timeline_exits_source(tmp_path, capsys):
+    tl = tmp_path / "recorded.csv"
+    write_replay_timeline(tl)
+    manifest = write_manifest(tmp_path / "m.ini", sources=(f"replay:{tl}",))
+    out = tmp_path / "out"
+    assert main(["--manifest", str(manifest), "run"]) == 0
+    (out / "timeline-replay-0.csv").unlink()
+    assert main(["--out", str(tmp_path / "rp"), "replay", str(out)]) == 3
+    assert "replay-0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value,command", [
+    ("reps", "abc", "run"),  # [gemm]
+    ("reps", "abc", "sweep"),
+    ("reps", "abc", "score"),
+    ("lanes", "x", "run"),  # [model]
+    ("lanes", "x", "sweep"),
+    ("lanes", "x", "score"),
+    ("value_modes", "bogus", "sweep"),  # [sweep]; run does not read it
+    ("value_modes", "bogus", "score"),
+])
+def test_malformed_manifest_value_exits_config(tmp_path, capsys, key, value, command):
+    manifest = write_manifest(tmp_path / "m.ini", sweep=SweepPlan())
+    text = manifest.read_text()
+    assert f"\n{key} = " in text
+    manifest.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M))
+    assert main(["--manifest", str(manifest), command]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err
 
 
 def test_sweep_runs_all_levels_and_modes(tmp_path):

@@ -6,16 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entrobench.errors import FormatError, InsufficientDataError, SourceError
+from entrobench.errors import FormatError, SourceError
 from entrobench.telemetry import (
-    CallablePowerSource,
     EnergyCounterSource,
     PowerSample,
     ReplaySampler,
     Sampler,
     Timeline,
     parse_pm_counters,
-    parse_power_csv,
     read_timeline,
     sample_loop,
     timeline_from_text,
@@ -23,54 +21,15 @@ from entrobench.telemetry import (
     write_timeline,
 )
 
-SMI_CSV = """\
-timestamp, power.draw [W]
-2022/09/01 10:00:00.000, 238.51 W
-2022/09/01 10:00:00.100, 240.00 W
-2022/09/01 10:00:00.250, N/A
-2022/09/01 10:00:00.300, 398.20 W
-"""
+class CallablePowerSource:
+    """Test fake: a power source that returns whatever `fn` returns."""
 
+    def __init__(self, fn, name: str = "power"):
+        self._fn = fn
+        self.name = name
 
-def test_parse_power_csv_basic():
-    tl = parse_power_csv(SMI_CSV)
-    assert len(tl) == 3
-    assert tl.skipped_rows == 1
-    assert [s.t_ms for s in tl.samples] == [0.0, 100.0, 300.0]
-    assert [s.watts for s in tl.samples] == [238.51, 240.0, 398.2]
-
-
-def test_parse_power_csv_no_subsecond_stamp():
-    tl = parse_power_csv(
-        "timestamp, power.draw [W]\n"
-        "2022/09/01 10:00:01, 100 W\n"
-        "2022/09/01 10:00:03, 120 W\n"
-    )
-    assert [s.t_ms for s in tl.samples] == [0.0, 2000.0]
-
-
-def test_parse_power_csv_rejects_bad_header():
-    with pytest.raises(FormatError):
-        parse_power_csv("time,value\n1,2\n")
-    with pytest.raises(FormatError):
-        parse_power_csv("")
-
-
-def test_parse_power_csv_all_unavailable():
-    with pytest.raises(InsufficientDataError):
-        parse_power_csv(
-            "timestamp, power.draw [W]\n"
-            "2022/09/01 10:00:00.000, [Not Supported]\n"
-        )
-
-
-def test_parse_power_csv_bad_value_reports_line():
-    with pytest.raises(FormatError) as err:
-        parse_power_csv(
-            "timestamp, power.draw [W]\n"
-            "2022/09/01 10:00:00.000, watts\n"
-        )
-    assert "line 2" in str(err.value)
+    def read(self) -> float:
+        return float(self._fn())
 
 
 def test_parse_pm_counters():
