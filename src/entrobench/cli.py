@@ -32,6 +32,10 @@ SUMMARY_HEADER = "family,level,value_mode,mean_w,tdp_frac,flop_rate,pj_per_flop_
 SERIES_HEADER = "family,value_mode,level,mean_w,tdp_w,baseline_random_w,baseline_fixed_w"
 SCORE_HEADER = "family,level,value_mode,score_per_flop,mul_toggles,acc_toggles,flops"
 
+# What a run writes into its directory, as globs; a new run first removes them.
+RUN_OUTPUTS = ("failed", "manifest", "manifest.sha256", "record.csv", "summary.csv",
+               "timeline-*.csv")
+
 
 def build_sampler(descriptor: str,
                   interval_ms: float) -> telemetry.Sampler | telemetry.ReplaySampler:
@@ -99,7 +103,17 @@ def _write_series(series: analysis.SweepSeries, path) -> None:
 
 
 def execute_run(m: ExperimentManifest, run_dir: Path, run_index: int = 0) -> dict:
-    """Run one experiment and persist all artifacts; returns the summary row."""
+    """Run one experiment and persist all artifacts; returns the summary row.
+
+    What an earlier run left in run_dir is removed first, so the directory
+    describes only this run.  A replay source among those files is refused.
+    """
+    stale = [path for name in RUN_OUTPUTS for path in run_dir.glob(name)]
+    replayed = {Path(d.partition(":")[2]).resolve() for d in m.sources if d.startswith("replay:")}
+    if replayed.intersection(path.resolve() for path in stale):
+        raise ConfigError(f"a replay source is an output of {run_dir}, which the run clears")
+    for path in stale:
+        path.unlink()
     run_dir.mkdir(parents=True, exist_ok=True)
     phase = "configure"
     try:
@@ -167,22 +181,18 @@ def cmd_run(m: ExperimentManifest, out: Path) -> int:
 def cmd_sweep(m: ExperimentManifest, out: Path) -> int:
     if m.pattern.is_baseline:
         raise ConfigError("sweep requires a pattern family, not a baseline")
-    plan = m.sweep or None
-    modes = plan.value_modes if plan else ("independent", "fixed_common")
-    levels = m.sweep_levels()
     results = {}  # (mode) -> [(level, mean_w)]
-    for mode in modes:
-        for level in levels:
-            spec = dataclasses.replace(m.pattern, level=level, value_mode=mode)
-            sub = dataclasses.replace(m, pattern=spec, sweep=None)
-            run_dir = out / f"{spec.family.value}-{mode}-L{level:02d}"
-            try:
-                row = execute_run(sub, run_dir)
-            except EntrobenchError as exc:
-                print(f"level {level} ({mode}) failed: {exc}", file=sys.stderr)
-                continue
-            if row["mean_w"]:
-                results.setdefault(mode, []).append((level, float(row["mean_w"])))
+    for spec in m.sweep_specs():
+        level, mode = spec.level, spec.value_mode.value
+        sub = dataclasses.replace(m, pattern=spec, sweep=None)
+        run_dir = out / f"{spec.family.value}-{mode}-L{level:02d}"
+        try:
+            row = execute_run(sub, run_dir)
+        except EntrobenchError as exc:
+            print(f"level {level} ({mode}) failed: {exc}", file=sys.stderr)
+            continue
+        if row["mean_w"]:
+            results.setdefault(mode, []).append((level, float(row["mean_w"])))
     for mode, points in sorted(results.items()):
         series = analysis.sweep_series(
             m.pattern.family.value, mode, points,
@@ -266,11 +276,7 @@ def cmd_score(m: ExperimentManifest, out: Path) -> int:
         schedule = model.Schedule(lanes=plan.lanes, tile=tile)
 
     if m.sweep is not None and not m.pattern.is_baseline:
-        specs = [
-            dataclasses.replace(m.pattern, level=level, value_mode=mode)
-            for mode in m.sweep.value_modes
-            for level in m.sweep_levels()
-        ]
+        specs = m.sweep_specs()
     else:
         specs = [m.pattern]
 

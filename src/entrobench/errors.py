@@ -1,8 +1,8 @@
 """Exception types shared across the toolkit.
 
-The CLI maps these onto process exit codes (see cli.EXIT_CODES), so new
-error conditions should subclass one of the three roots below rather than
-raising bare ValueError from user-facing paths.
+The CLI maps these onto process exit codes (cli.EXIT_CONFIG, EXIT_SOURCE
+and EXIT_DATA), so new error conditions should subclass one of the three
+roots below rather than raising bare ValueError from user-facing paths.
 """
 
 

@@ -2,9 +2,11 @@
 
 A manifest is a single INI-style text file with one section per module
 (pattern, gemm, telemetry, analysis, optional sweep and model) plus an
-[experiment] section carrying schema version and provenance labels.  The
-canonical serialization is deterministic, so manifests round-trip
-byte-identically and can be archived next to their outputs.
+[experiment] section carrying schema version and provenance labels.
+MANIFEST_KEYS is the list of keys; a key it does not list is a
+configuration error, and an absent key takes the default of the dataclass
+field it sets.  The canonical serialization is deterministic, so manifests
+round-trip byte-identically and can be archived next to their outputs.
 """
 
 from __future__ import annotations
@@ -12,12 +14,15 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
+from operator import attrgetter
 
 from . import fixtures
+from .analysis import DEFAULT_TRIM_FRACTION
 from .errors import ConfigError
 from .gemm import DEFAULT_REPS, DEFAULT_WARMUP_SECONDS, GemmConfig
 from .patterns import Family, PatternSpec, ValueMode
+from .records import decode_list, encode
 from .telemetry import DEFAULT_INTERVAL_MS
 
 SCHEMA_VERSION = 1
@@ -28,6 +33,10 @@ class SweepPlan:
     level_min: int = 0
     level_max: int | None = None  # None = log2(n_dim)
     value_modes: tuple[str, ...] = ("independent", "fixed_common")
+
+    def __post_init__(self):
+        if not self.value_modes:
+            raise ConfigError("sweep value_modes must name at least one value mode")
 
 
 @dataclass(frozen=True)
@@ -55,7 +64,7 @@ class ExperimentManifest:
     tdp_w: float = fixtures.TDP_W
     baseline_random_w: float = fixtures.RANDOM_INPUT_W
     baseline_fixed_w: float = fixtures.FIXED_INPUT_W
-    trim_fraction: float = 0.05
+    trim_fraction: float = DEFAULT_TRIM_FRACTION
     node_id: str = "local"
     repetitions_per_node: int = 1
     out_dir: str = "out"
@@ -73,16 +82,12 @@ class ExperimentManifest:
             raise ConfigError(f"tdp_w must be positive, got {self.tdp_w}")
         if self.repetitions_per_node < 1:
             raise ConfigError("repetitions_per_node must be >= 1")
+        if not 0 <= self.trim_fraction < 0.5:
+            raise ConfigError(f"trim_fraction must be in [0, 0.5), got {self.trim_fraction}")
 
     def gemm_config(self) -> GemmConfig:
-        return GemmConfig(
-            pattern=self.pattern,
-            reps=self.reps,
-            alpha=self.alpha,
-            beta=self.beta,
-            backend_id=self.backend_id,
-            warmup_seconds=self.warmup_seconds,
-        )
+        """The GemmConfig fields, which the manifest holds under the same names."""
+        return GemmConfig(**{f.name: getattr(self, f.name) for f in fields(GemmConfig)})
 
     def sweep_levels(self) -> range:
         plan = self.sweep or SweepPlan()
@@ -94,53 +99,58 @@ class ExperimentManifest:
             )
         return range(plan.level_min, hi + 1)
 
+    def sweep_specs(self) -> list[PatternSpec]:
+        """The pattern at each sweep point: value modes outer, levels ascending."""
+        levels, modes = self.sweep_levels(), (self.sweep or SweepPlan()).value_modes
+        return [replace(self.pattern, level=level, value_mode=mode)
+                for mode in modes for level in levels]
+
+
+# (section, key, attribute, decode), in written order.  The attribute is an
+# ExperimentManifest field, or pattern.<field>, sweep.<field> or model.<field>.
+MANIFEST_KEYS = (
+    ("experiment", "schema_version", "schema_version", int),
+    ("experiment", "node", "node_id", str),
+    ("experiment", "repetitions", "repetitions_per_node", int),
+    ("experiment", "out", "out_dir", str),
+    ("pattern", "family", "pattern.family", Family),
+    ("pattern", "n", "pattern.n_dim", int),
+    ("pattern", "level", "pattern.level", int),
+    ("pattern", "value_mode", "pattern.value_mode", ValueMode),
+    ("pattern", "seed", "pattern.seed", int),
+    ("gemm", "reps", "reps", int),
+    ("gemm", "alpha", "alpha", float),
+    ("gemm", "beta", "beta", float),
+    ("gemm", "backend", "backend_id", str),
+    ("gemm", "warmup_seconds", "warmup_seconds", float),
+    ("telemetry", "sources", "sources", decode_list(",")),
+    ("telemetry", "interval_ms", "interval_ms", float),
+    ("analysis", "tdp_w", "tdp_w", float),
+    ("analysis", "baseline_random_w", "baseline_random_w", float),
+    ("analysis", "baseline_fixed_w", "baseline_fixed_w", float),
+    ("analysis", "trim_fraction", "trim_fraction", float),
+    ("sweep", "level_min", "sweep.level_min", int),
+    ("sweep", "level_max", "sweep.level_max", lambda t: int(t) if t else None),
+    ("sweep", "value_modes", "sweep.value_modes", decode_list(",", lambda s: ValueMode(s).value)),
+    ("model", "lanes", "model.lanes", int),
+    ("model", "tile_m", "model.tile_m", int),
+    ("model", "tile_n", "model.tile_n", int),
+    ("model", "w_mul", "model.w_mul", float),
+    ("model", "w_acc", "model.w_acc", float),
+    ("model", "max_n_dim", "model.max_n_dim", int),
+)
+
+_PARTS = {"": ExperimentManifest, "pattern": PatternSpec, "sweep": SweepPlan, "model": ModelPlan}
+
 
 def manifest_to_text(m: ExperimentManifest) -> str:
+    sections = {}
+    for section, key, attr, _ in MANIFEST_KEYS:
+        part = attr.rpartition(".")[0]
+        if not part or getattr(m, part) is not None:  # [sweep] is optional
+            sections.setdefault(section, {})[key] = encode(attrgetter(attr)(m), ",")
     cp = configparser.ConfigParser()
-    cp["experiment"] = {
-        "schema_version": str(m.schema_version),
-        "node": m.node_id,
-        "repetitions": str(m.repetitions_per_node),
-        "out": m.out_dir,
-    }
-    cp["pattern"] = {
-        "family": m.pattern.family.value,
-        "n": str(m.pattern.n_dim),
-        "level": str(m.pattern.level),
-        "value_mode": m.pattern.value_mode.value,
-        "seed": str(m.pattern.seed),
-    }
-    cp["gemm"] = {
-        "reps": str(m.reps),
-        "alpha": repr(m.alpha),
-        "beta": repr(m.beta),
-        "backend": m.backend_id,
-        "warmup_seconds": repr(m.warmup_seconds),
-    }
-    cp["telemetry"] = {
-        "sources": ",".join(m.sources),
-        "interval_ms": repr(m.interval_ms),
-    }
-    cp["analysis"] = {
-        "tdp_w": repr(m.tdp_w),
-        "baseline_random_w": repr(m.baseline_random_w),
-        "baseline_fixed_w": repr(m.baseline_fixed_w),
-        "trim_fraction": repr(m.trim_fraction),
-    }
-    if m.sweep is not None:
-        cp["sweep"] = {
-            "level_min": str(m.sweep.level_min),
-            "level_max": "" if m.sweep.level_max is None else str(m.sweep.level_max),
-            "value_modes": ",".join(m.sweep.value_modes),
-        }
-    cp["model"] = {
-        "lanes": str(m.model.lanes),
-        "tile_m": str(m.model.tile_m),
-        "tile_n": str(m.model.tile_n),
-        "w_mul": repr(m.model.w_mul),
-        "w_acc": repr(m.model.w_acc),
-        "max_n_dim": str(m.model.max_n_dim),
-    }
+    cp.read_dict(sections)
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
@@ -152,67 +162,27 @@ def manifest_from_text(text: str) -> ExperimentManifest:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"unparseable manifest: {exc}") from exc
+    known = {(section, key) for section, key, _, _ in MANIFEST_KEYS}
+    for section, key in ((s, k) for s in cp.sections() for k in cp.options(s)):
+        if (section, key) not in known:
+            raise ConfigError(f"unknown manifest key [{section}] {key}")
 
-    def get(section, key, default=None, convert=str):
-        if cp.has_option(section, key):
-            value = cp.get(section, key)
-        elif default is None:
-            raise ConfigError(f"manifest missing [{section}] {key}")
-        else:
-            value = default
+    parts = {part: {} for part in _PARTS}
+    for section, key, attr, decode in MANIFEST_KEYS:
+        part, _, name = attr.rpartition(".")
+        if not cp.has_option(section, key):
+            if _PARTS[part].__dataclass_fields__[name].default is MISSING:
+                raise ConfigError(f"manifest missing [{section}] {key}")
+            continue
         try:
-            return convert(value)
+            parts[part][name] = decode(cp.get(section, key))
         except ValueError as exc:
             raise ConfigError(f"bad manifest value [{section}] {key}: {exc}") from exc
-
-    pattern = PatternSpec(
-        family=get("pattern", "family", convert=Family),
-        n_dim=get("pattern", "n", convert=int),
-        level=get("pattern", "level", "0", int),
-        value_mode=get("pattern", "value_mode", "independent", ValueMode),
-        seed=get("pattern", "seed", "0", int),
-    )
-
-    sweep = None
-    if cp.has_section("sweep"):
-        sweep = SweepPlan(
-            level_min=get("sweep", "level_min", "0", int),
-            level_max=get("sweep", "level_max", "", lambda t: int(t) if t else None),
-            value_modes=get("sweep", "value_modes", "independent,fixed_common",
-                            lambda t: tuple(ValueMode(s).value for s in t.split(",") if s)),
-        )
-
-    model = ModelPlan(
-        lanes=get("model", "lanes", "1", int),
-        tile_m=get("model", "tile_m", "1", int),
-        tile_n=get("model", "tile_n", "1", int),
-        w_mul=get("model", "w_mul", "1.0", float),
-        w_acc=get("model", "w_acc", "1.0", float),
-        max_n_dim=get("model", "max_n_dim", "1024", int),
-    )
-
-    sources = tuple(s for s in get("telemetry", "sources", "").split(",") if s)
     return ExperimentManifest(
-        pattern=pattern,
-        reps=get("gemm", "reps", str(DEFAULT_REPS), int),
-        alpha=get("gemm", "alpha", "1.0", float),
-        beta=get("gemm", "beta", "1.0", float),
-        backend_id=get("gemm", "backend", "reference"),
-        warmup_seconds=get("gemm", "warmup_seconds", repr(DEFAULT_WARMUP_SECONDS), float),
-        sources=sources,
-        interval_ms=get("telemetry", "interval_ms", repr(DEFAULT_INTERVAL_MS), float),
-        tdp_w=get("analysis", "tdp_w", repr(fixtures.TDP_W), float),
-        baseline_random_w=get("analysis", "baseline_random_w",
-                              repr(fixtures.RANDOM_INPUT_W), float),
-        baseline_fixed_w=get("analysis", "baseline_fixed_w",
-                             repr(fixtures.FIXED_INPUT_W), float),
-        trim_fraction=get("analysis", "trim_fraction", "0.05", float),
-        node_id=get("experiment", "node", "local"),
-        repetitions_per_node=get("experiment", "repetitions", "1", int),
-        out_dir=get("experiment", "out", "out"),
-        sweep=sweep,
-        model=model,
-        schema_version=get("experiment", "schema_version", str(SCHEMA_VERSION), int),
+        pattern=PatternSpec(**parts["pattern"]),
+        sweep=SweepPlan(**parts["sweep"]) if cp.has_section("sweep") else None,
+        model=ModelPlan(**parts["model"]),
+        **parts[""],
     )
 
 

@@ -1,58 +1,73 @@
-"""RunRecord persistence: one CSV file per run (header row + data row)."""
+"""RunRecord persistence: one CSV file per run (header row + data row).
+
+RECORD_COLUMNS lists the columns; manifests share the encode/decode_list codec.
+"""
 
 from __future__ import annotations
 
 import csv
+import enum
 import io
+from operator import attrgetter
 
 from .errors import FormatError
 from .gemm import GemmConfig, RunRecord
-from .patterns import PatternSpec
+from .patterns import Family, PatternSpec, ValueMode
 
 RECORD_SCHEMA = "entrobench-record v1"
 
-_FIELDS = (
-    "family", "n", "level", "value_mode", "seed",
-    "reps", "alpha", "beta", "backend", "warmup_seconds_config",
-    "warmup_seconds", "warmup_iterations", "measured_seconds",
-    "total_flops", "flop_rate", "checksum", "checksum_bits",
-    "node_id", "run_index", "measured_start_ms", "measured_end_ms",
-    "timeline_ids", "warnings",
+
+def encode(value, sep: str) -> str:
+    """A field as text: repr for floats, an enum's value, sep-joined tuples, "" for None."""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return sep.join(value)
+    return "" if value is None else str(value)
+
+
+def decode_list(sep: str, item=str):
+    """Decoder for a tuple that encode joined with sep; empty items are dropped."""
+    return lambda text: tuple(item(s) for s in text.split(sep) if s)
+
+
+# (column, attribute, decode).  The attribute is a path into RunRecord:
+# config.pattern.<field>, config.<field> or <field>.
+RECORD_COLUMNS = (
+    ("family", "config.pattern.family", Family),
+    ("n", "config.pattern.n_dim", int),
+    ("level", "config.pattern.level", int),
+    ("value_mode", "config.pattern.value_mode", ValueMode),
+    ("seed", "config.pattern.seed", int),
+    ("reps", "config.reps", int),
+    ("alpha", "config.alpha", float),
+    ("beta", "config.beta", float),
+    ("backend", "config.backend_id", str),
+    ("warmup_seconds_config", "config.warmup_seconds", float),
+    ("warmup_seconds", "warmup_seconds", float),
+    ("warmup_iterations", "warmup_iterations", int),
+    ("measured_seconds", "measured_seconds", float),
+    ("total_flops", "total_flops", int),
+    ("flop_rate", "flop_rate", float),
+    ("checksum", "checksum", float),
+    ("checksum_bits", "checksum_bits", str),
+    ("node_id", "node_id", str),
+    ("run_index", "run_index", int),
+    ("measured_start_ms", "measured_start_ms", float),
+    ("measured_end_ms", "measured_end_ms", float),
+    ("timeline_ids", "timeline_ids", decode_list(";")),
+    ("warnings", "warnings", decode_list(";")),
 )
 
 
 def record_to_text(record: RunRecord) -> str:
-    cfg = record.config
-    row = {
-        "family": cfg.pattern.family.value,
-        "n": cfg.pattern.n_dim,
-        "level": cfg.pattern.level,
-        "value_mode": cfg.pattern.value_mode.value,
-        "seed": cfg.pattern.seed,
-        "reps": cfg.reps,
-        "alpha": repr(cfg.alpha),
-        "beta": repr(cfg.beta),
-        "backend": cfg.backend_id,
-        "warmup_seconds_config": repr(cfg.warmup_seconds),
-        "warmup_seconds": repr(record.warmup_seconds),
-        "warmup_iterations": record.warmup_iterations,
-        "measured_seconds": repr(record.measured_seconds),
-        "total_flops": record.total_flops,
-        "flop_rate": repr(record.flop_rate),
-        "checksum": repr(record.checksum),
-        "checksum_bits": record.checksum_bits,
-        "node_id": record.node_id,
-        "run_index": record.run_index,
-        "measured_start_ms": repr(record.measured_start_ms),
-        "measured_end_ms": repr(record.measured_end_ms),
-        "timeline_ids": ";".join(record.timeline_ids),
-        "warnings": ";".join(record.warnings),
-    }
     buf = io.StringIO()
     buf.write(f"# {RECORD_SCHEMA}\n")
-    writer = csv.DictWriter(buf, fieldnames=_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    writer.writerow(row)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([column for column, _, _ in RECORD_COLUMNS])
+    writer.writerow([encode(attrgetter(attr)(record), ";") for _, attr, _ in RECORD_COLUMNS])
     return buf.getvalue()
 
 
@@ -63,40 +78,14 @@ def record_from_text(text: str) -> RunRecord:
     rows = list(csv.DictReader(lines[1:]))
     if len(rows) != 1:
         raise FormatError(f"record file must hold exactly one row, got {len(rows)}")
-    row = rows[0]
+    parts = {"config.pattern": {}, "config": {}, "": {}}
     try:
-        pattern = PatternSpec(
-            family=row["family"],
-            n_dim=int(row["n"]),
-            level=int(row["level"]),
-            value_mode=row["value_mode"],
-            seed=int(row["seed"]),
-        )
-        config = GemmConfig(
-            pattern=pattern,
-            reps=int(row["reps"]),
-            alpha=float(row["alpha"]),
-            beta=float(row["beta"]),
-            backend_id=row["backend"],
-            warmup_seconds=float(row["warmup_seconds_config"]),
-        )
-        return RunRecord(
-            config=config,
-            warmup_seconds=float(row["warmup_seconds"]),
-            warmup_iterations=int(row["warmup_iterations"]),
-            measured_seconds=float(row["measured_seconds"]),
-            total_flops=int(row["total_flops"]),
-            flop_rate=float(row["flop_rate"]),
-            checksum=float(row["checksum"]),
-            checksum_bits=row["checksum_bits"],
-            timeline_ids=tuple(t for t in row["timeline_ids"].split(";") if t),
-            node_id=row["node_id"],
-            run_index=int(row["run_index"]),
-            measured_start_ms=float(row["measured_start_ms"]),
-            measured_end_ms=float(row["measured_end_ms"]),
-            warnings=tuple(w for w in row["warnings"].split(";") if w),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        for column, attr, decode in RECORD_COLUMNS:
+            part, _, name = attr.rpartition(".")
+            parts[part][name] = decode(rows[0][column])
+        config = GemmConfig(pattern=PatternSpec(**parts["config.pattern"]), **parts["config"])
+        return RunRecord(config=config, **parts[""])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # a short row reads None
         raise FormatError(f"malformed record file: {exc}") from exc
 
 

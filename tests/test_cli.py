@@ -150,14 +150,9 @@ def test_replay_of_run_with_malformed_timeline_exits_source(tmp_path, capsys):
 
 
 def test_replay_ignores_timelines_the_record_does_not_name(tmp_path):
-    tl = tmp_path / "recorded.csv"
-    write_replay_timeline(tl)
     out = tmp_path / "out"
-    with_power = write_manifest(tmp_path / "a.ini", sources=(f"replay:{tl}",))
-    assert main(["--manifest", str(with_power), "run"]) == 0
-    # a power-less run into the same directory leaves the earlier timeline behind
-    assert main(["--manifest", str(write_manifest(tmp_path / "b.ini")), "run"]) == 0
-    assert (out / "timeline-replay-0.csv").exists()
+    assert main(["--manifest", str(write_manifest(tmp_path / "m.ini")), "run"]) == 0
+    write_replay_timeline(out / "timeline-replay-0.csv")  # the power-less record names none
     assert read_csv(out / "summary.csv")[0]["mean_w"] == ""
 
     rp = tmp_path / "rp"
@@ -183,8 +178,10 @@ def test_replay_of_run_with_missing_named_timeline_exits_source(tmp_path, capsys
     ("lanes", "x", "run"),  # [model]
     ("lanes", "x", "sweep"),
     ("lanes", "x", "score"),
-    ("value_modes", "bogus", "sweep"),  # [sweep]; run does not read it
+    ("value_modes", "bogus", "sweep"),  # [sweep]
     ("value_modes", "bogus", "score"),
+    ("value_modes", "", "sweep"),
+    ("trim_fraction", "0.6", "run"),  # [analysis]
 ])
 def test_malformed_manifest_value_exits_config(tmp_path, capsys, key, value, command):
     manifest = write_manifest(tmp_path / "m.ini", sweep=SweepPlan())
@@ -194,6 +191,55 @@ def test_malformed_manifest_value_exits_config(tmp_path, capsys, key, value, com
     assert main(["--manifest", str(manifest), command]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and key in err
+    assert not list(tmp_path.glob("out/**/record.csv"))  # rejected before any run
+
+
+@pytest.mark.parametrize("section,key", [("gemm", "rep"), ("model", "lane"), ("bogus", "x")])
+def test_unknown_manifest_key_exits_config(tmp_path, capsys, section, key):
+    manifest = write_manifest(tmp_path / "m.ini")
+    text = manifest.read_text()
+    if f"[{section}]" not in text:
+        text += f"[{section}]\n"
+    manifest.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = 3\n"))
+    assert main(["--manifest", str(manifest), "run"]) == 2
+    assert f"unknown manifest key [{section}] {key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_after_a_failed_run_clears_the_failed_marker(tmp_path):
+    out = tmp_path / "out"
+    bad = write_manifest(tmp_path / "bad.ini", backend_id="cublas")
+    assert main(["--manifest", str(bad), "run"]) == 2
+    assert (out / "failed").exists()
+    assert main(["--manifest", str(write_manifest(tmp_path / "m.ini")), "run"]) == 0
+    assert not (out / "failed").exists()
+    assert (out / "record.csv").exists()
+
+
+def test_failed_run_clears_the_outputs_of_an_earlier_run(tmp_path, capsys):
+    tl = tmp_path / "recorded.csv"
+    write_replay_timeline(tl)
+    out = tmp_path / "out"
+    good = write_manifest(tmp_path / "m.ini", sources=(f"replay:{tl}",))
+    assert main(["--manifest", str(good), "run"]) == 0
+    bad = write_manifest(tmp_path / "bad.ini", backend_id="cublas")
+    assert main(["--manifest", str(bad), "run"]) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["failed"]
+    assert main(["--out", str(tmp_path / "rp"), "replay", str(out)]) == 2
+    assert "no run directories" in capsys.readouterr().err
+
+
+def test_run_refuses_to_clear_its_own_replay_source(tmp_path):
+    tl = tmp_path / "recorded.csv"
+    write_replay_timeline(tl)
+    out = tmp_path / "out"
+    first = write_manifest(tmp_path / "a.ini", sources=(f"replay:{tl}",))
+    assert main(["--manifest", str(first), "run"]) == 0
+    own = out / "timeline-replay-0.csv"
+    before = sorted(p.name for p in out.iterdir())
+    again = write_manifest(tmp_path / "b.ini", sources=(f"replay:{own}",))
+    assert main(["--manifest", str(again), "run"]) == 2
+    assert sorted(p.name for p in out.iterdir()) == before
 
 
 def test_sweep_runs_all_levels_and_modes(tmp_path):

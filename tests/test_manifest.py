@@ -1,7 +1,12 @@
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
 from entrobench.errors import ConfigError
 from entrobench.manifest import (
+    MANIFEST_KEYS,
     ExperimentManifest,
     ModelPlan,
     SweepPlan,
@@ -12,6 +17,8 @@ from entrobench.manifest import (
     save_manifest,
 )
 from entrobench.patterns import PatternSpec
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def sample_manifest(**overrides):
@@ -35,6 +42,79 @@ def test_round_trip_is_byte_identical():
     assert back == m
     assert manifest_to_text(back) == text
     assert manifest_digest(back) == manifest_digest(m)
+
+
+# manifest_to_text(sample_manifest()), as written before the key table existed
+SAMPLE_TEXT = """\
+[experiment]
+schema_version = 1
+node = local
+repetitions = 1
+out = out
+
+[pattern]
+family = sparse_diagonal
+n = 64
+level = 3
+value_mode = fixed_common
+seed = 17
+
+[gemm]
+reps = 5
+alpha = 1.0
+beta = 1.0
+backend = reference
+warmup_seconds = 0.0
+
+[telemetry]
+sources = replay:tl.csv
+interval_ms = 100.0
+
+[analysis]
+tdp_w = 400.0
+baseline_random_w = 398.2
+baseline_fixed_w = 238.5
+trim_fraction = 0.05
+
+[sweep]
+level_min = 1
+level_max = 4
+value_modes = independent,fixed_common
+
+[model]
+lanes = 4
+tile_m = 1
+tile_n = 1
+w_mul = 1.0
+w_acc = 0.5
+max_n_dim = 1024
+
+"""
+
+
+def test_text_is_pinned():
+    assert manifest_to_text(sample_manifest()) == SAMPLE_TEXT
+    assert manifest_from_text(SAMPLE_TEXT) == sample_manifest()
+    default_sweep = manifest_to_text(sample_manifest(sweep=SweepPlan()))
+    assert "[sweep]\nlevel_min = 0\nlevel_max = \nvalue_modes = independent,fixed_common\n" \
+        in default_sweep
+
+
+def test_key_table_covers_each_field_once():
+    keys = [(section, key) for section, key, _, _ in MANIFEST_KEYS]
+    assert len(set(keys)) == len(keys)
+    parts = {"pattern": PatternSpec, "sweep": SweepPlan, "model": ModelPlan}
+    fields = [f.name for f in dataclasses.fields(ExperimentManifest) if f.name not in parts]
+    for part, cls in parts.items():
+        fields += [f"{part}.{f.name}" for f in dataclasses.fields(cls)]
+    assert sorted(attr for _, _, attr, _ in MANIFEST_KEYS) == sorted(fields)
+
+
+def test_readme_example_parses():
+    example = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+    m = manifest_from_text(example)
+    assert m.pattern == PatternSpec(family="sparse_diagonal", n_dim=16384, level=4, seed=7)
+    assert m.sources == ("pm:/sys/cray/pm_counters/power",)
 
 
 def test_round_trip_without_sweep():
@@ -101,6 +181,14 @@ def test_sweep_levels_range():
         sample_manifest(sweep=SweepPlan(level_min=5, level_max=9)).sweep_levels()
 
 
+def test_sweep_specs_are_modes_outer_levels_ascending():
+    m = sample_manifest(sweep=SweepPlan(level_min=1, level_max=2))
+    assert [(s.value_mode.value, s.level) for s in m.sweep_specs()] == [
+        ("independent", 1), ("independent", 2), ("fixed_common", 1), ("fixed_common", 2)]
+    assert all(s.family.value == "sparse_diagonal" and s.seed == 17 for s in m.sweep_specs())
+    assert len(sample_manifest(sweep=None).sweep_specs()) == 14  # default plan, N=64
+
+
 def test_gemm_config_and_backend_check():
     m = sample_manifest()
     cfg = m.gemm_config()
@@ -113,3 +201,8 @@ def test_validation_errors():
         sample_manifest(tdp_w=0.0)
     with pytest.raises(ConfigError):
         sample_manifest(repetitions_per_node=0)
+    for trim in (-0.01, 0.5, 0.6):
+        with pytest.raises(ConfigError, match="trim_fraction"):
+            sample_manifest(trim_fraction=trim)
+    with pytest.raises(ConfigError, match="value_modes"):
+        SweepPlan(value_modes=())
