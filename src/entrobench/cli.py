@@ -16,12 +16,12 @@ from . import analysis, fixtures, model, records, telemetry
 from .errors import ConfigError, EntrobenchError, FormatError, InsufficientDataError, SourceError
 from .gemm import get_backend, run_experiment
 from .manifest import (
+    AnalysisPlan,
     ExperimentManifest,
     load_manifest,
     manifest_digest,
     manifest_to_text,
 )
-from .patterns import BASELINE_FAMILIES, PatternSpec
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -60,50 +60,67 @@ def build_sampler(descriptor: str,
     return telemetry.Sampler(source, interval_ms=interval_ms)
 
 
-def _summary_row(record, timelines, m: ExperimentManifest) -> dict:
-    cfg = record.config
-    row = {
-        "family": cfg.pattern.family.value,
-        "level": cfg.pattern.level,
-        "value_mode": cfg.pattern.value_mode.value,
-        "mean_w": "",
-        "tdp_frac": "",
-        "flop_rate": repr(record.flop_rate),
-        "pj_per_flop_vs_fixed": "",
-    }
+def _summary_row(record, timelines, plan: AnalysisPlan) -> dict:
+    """A run's summary.csv columns, in order; without a timeline the power columns are None."""
+    pattern = record.config.pattern
+    row = dict.fromkeys(SUMMARY_HEADER.split(","))
+    row.update(family=pattern.family.value, level=pattern.level,
+               value_mode=pattern.value_mode.value, flop_rate=record.flop_rate)
     if record.timeline_ids:
-        stats = analysis.steady_state_window(
-            timelines[record.timeline_ids[0]], record, trim_fraction=m.trim_fraction
-        )
-        row["mean_w"] = repr(stats.mean_w)
-        row["tdp_frac"] = repr(analysis.tdp_fraction(stats.mean_w, m.tdp_w))
-        row["pj_per_flop_vs_fixed"] = repr(
-            analysis.pj_per_flop(stats.mean_w - m.baseline_fixed_w, record.flop_rate)
-        )
+        stats = analysis.steady_state_window(timelines[record.timeline_ids[0]], record,
+                                             trim_fraction=plan.trim_fraction)
+        row["mean_w"] = stats.mean_w
+        row["tdp_frac"] = analysis.tdp_fraction(stats.mean_w, plan.tdp_w)
+        row["pj_per_flop_vs_fixed"] = analysis.pj_per_flop(
+            stats.mean_w - plan.baseline_fixed_w, record.flop_rate)
     return row
 
 
 def _write_csv(path, header: str, rows) -> None:
-    """Header line, then each row's str() values joined by commas; no quoting."""
-    lines = [header] + [",".join(map(str, row)) for row in rows]
+    """Header line, then each row's values encoded and joined by commas; no quoting."""
+    lines = [header] + [",".join(records.encode(value, ";") for value in row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _write_summary(rows, path) -> None:
-    keys = SUMMARY_HEADER.split(",")
-    _write_csv(path, SUMMARY_HEADER, ([row[k] for k in keys] for row in rows))
+def _write_series(runs, out: Path, plan: AnalysisPlan) -> dict[str, float]:
+    """Write series-<family>-<mode>.csv for each curve with a measured point.
+
+    runs are (record, summary row) pairs.  The watts of a point, or of a
+    baseline, are the mean of its node means over all its runs
+    (analysis.aggregate_runs).  Returns the baselines' watts by family.
+    """
+    curves, baselines = {}, {}  # each point: node_id -> [mean_w, ...]
+    for record, row in runs:
+        if row["mean_w"] is None:
+            continue
+        if record.config.pattern.is_baseline:
+            point = baselines.setdefault(row["family"], {})
+        else:
+            curve = curves.setdefault((row["family"], row["value_mode"]), {})
+            point = curve.setdefault(row["level"], {})
+        point.setdefault(record.node_id, []).append(row["mean_w"])
+    for (family, mode), points in sorted(curves.items()):
+        series = analysis.sweep_series(
+            family, mode, ((level, analysis.aggregate_runs(by_node).grand_mean)
+                           for level, by_node in points.items()),
+            plan.tdp_w, plan.baseline_random_w, plan.baseline_fixed_w)
+        _write_csv(out / f"series-{family}-{mode}.csv", SERIES_HEADER, (
+            (family, mode, level, mean_w,
+             series.tdp_w, series.baseline_random_w, series.baseline_fixed_w)
+            for level, mean_w in series.points))
+    return {family: analysis.aggregate_runs(by_node).grand_mean
+            for family, by_node in baselines.items()}
 
 
-def _write_series(series: analysis.SweepSeries, path) -> None:
-    _write_csv(path, SERIES_HEADER, (
-        (series.family, series.value_mode, level, mean_w,
-         series.tdp_w, series.baseline_random_w, series.baseline_fixed_w)
-        for level, mean_w in series.points
-    ))
+def _write_run_dir(run_dir: Path, record, timelines) -> None:
+    """record.csv and one timeline-<id>.csv per timeline; _load_run_dir reads them back."""
+    records.write_record(record, run_dir / "record.csv")
+    for tid, timeline in timelines.items():
+        telemetry.write_timeline(timeline, run_dir / f"timeline-{tid}.csv")
 
 
-def execute_run(m: ExperimentManifest, run_dir: Path, run_index: int = 0) -> dict:
-    """Run one experiment and persist all artifacts; returns the summary row.
+def execute_run(m: ExperimentManifest, run_dir: Path, run_index: int = 0):
+    """Run one experiment and persist all artifacts; returns (record, summary row).
 
     What an earlier run left in run_dir is removed first, so the directory
     describes only this run.  A replay source among those files is refused.
@@ -131,14 +148,12 @@ def execute_run(m: ExperimentManifest, run_dir: Path, run_index: int = 0) -> dic
         )
 
         phase = "persist"
-        records.write_record(record, run_dir / "record.csv")
-        for tid, timeline in timelines.items():
-            telemetry.write_timeline(timeline, run_dir / f"timeline-{tid}.csv")
+        _write_run_dir(run_dir, record, timelines)
 
         phase = "summarize"
-        row = _summary_row(record, timelines, m)
-        _write_summary([row], run_dir / "summary.csv")
-        return row
+        row = _summary_row(record, timelines, m.analysis)
+        _write_csv(run_dir / "summary.csv", SUMMARY_HEADER, [row.values()])
+        return record, row
     except Exception as exc:
         (run_dir / "failed").write_text(
             f"phase={phase}\ntype={type(exc).__name__}\nerror={exc}\n")
@@ -172,93 +187,53 @@ def discover_run_dirs(paths) -> list[Path]:
 def cmd_run(m: ExperimentManifest, out: Path) -> int:
     for rep in range(m.repetitions_per_node):
         run_dir = out / f"run-{rep:03d}" if m.repetitions_per_node > 1 else out
-        row = execute_run(m, run_dir, run_index=rep)
+        _, row = execute_run(m, run_dir, run_index=rep)
         print(f"run {run_dir}: {row['family']} L{row['level']} "
-              f"mean_w={row['mean_w'] or 'n/a'}")
+              f"mean_w={records.encode(row['mean_w'], '') or 'n/a'}")
     return EXIT_OK
 
 
 def cmd_sweep(m: ExperimentManifest, out: Path) -> int:
     if m.pattern.is_baseline:
         raise ConfigError("sweep requires a pattern family, not a baseline")
-    results = {}  # (mode) -> [(level, mean_w)]
+    runs, failures = [], []
     for spec in m.sweep_specs():
         level, mode = spec.level, spec.value_mode.value
         sub = dataclasses.replace(m, pattern=spec, sweep=None)
         run_dir = out / f"{spec.family.value}-{mode}-L{level:02d}"
         try:
-            row = execute_run(sub, run_dir)
+            runs.append(execute_run(sub, run_dir))
         except EntrobenchError as exc:
             print(f"level {level} ({mode}) failed: {exc}", file=sys.stderr)
-            continue
-        if row["mean_w"]:
-            results.setdefault(mode, []).append((level, float(row["mean_w"])))
-    for mode, points in sorted(results.items()):
-        series = analysis.sweep_series(
-            m.pattern.family.value, mode, points,
-            m.tdp_w, m.baseline_random_w, m.baseline_fixed_w,
-        )
-        _write_series(series, out / f"series-{m.pattern.family.value}-{mode}.csv")
+            failures.append(exc)
+    _write_series(runs, out, m.analysis)
+    if failures:  # every point ran; the exit code reports the first failure
+        raise failures[0]
     return EXIT_OK
 
 
-def cmd_replay(inputs, out: Path, m: ExperimentManifest | None = None) -> int:
+def cmd_replay(inputs, out: Path, plan: AnalysisPlan) -> int:
     run_dirs = discover_run_dirs(inputs)
     if not run_dirs:
         raise ConfigError("replay found no run directories (no record.csv)")
     out.mkdir(parents=True, exist_ok=True)
 
-    defaults = m or _default_analysis_manifest()
-    rows = []
-    loaded = []
+    runs = []
     for run_dir in run_dirs:
         record, timelines = _load_run_dir(run_dir)
-        rows.append(_summary_row(record, timelines, defaults))
-        loaded.append((record, rows[-1]))
+        runs.append((record, _summary_row(record, timelines, plan)))
 
-    rows.sort(key=lambda r: (r["family"], r["value_mode"], r["level"]))
-    _write_summary(rows, out / "summary.csv")
+    rows = sorted((row for _, row in runs),
+                  key=lambda r: (r["family"], r["value_mode"], r["level"]))
+    _write_csv(out / "summary.csv", SUMMARY_HEADER, (row.values() for row in rows))
 
-    by_curve = {}
-    baselines = {}
-    for record, row in loaded:
-        family = record.config.pattern.family
-        if not row["mean_w"]:
-            continue
-        mean_w = float(row["mean_w"])
-        if family in BASELINE_FAMILIES:
-            baselines[family.value] = mean_w
-        else:
-            key = (family.value, row["value_mode"])
-            by_curve.setdefault(key, {})[row["level"]] = mean_w
-
-    for (family, mode), level_means in sorted(by_curve.items()):
-        if len(level_means) < 2:
-            continue
-        series = analysis.sweep_series(
-            family, mode, level_means.items(),
-            defaults.tdp_w, defaults.baseline_random_w, defaults.baseline_fixed_w,
-        )
-        _write_series(series, out / f"series-{family}-{mode}.csv")
-
-    report_lines = []
+    baselines = _write_series(runs, out, plan)
     if "baseline_random" in baselines and "baseline_fixed" in baselines:
-        pct = analysis.percent_increase(
-            baselines["baseline_random"], baselines["baseline_fixed"]
-        )
-        report_lines.append(f"percent_increase={pct:.2f}")
-    if report_lines:
-        (out / "report.txt").write_text("\n".join(report_lines) + "\n")
-        for line in report_lines:
-            print(line)
+        pct = analysis.percent_increase(baselines["baseline_random"], baselines["baseline_fixed"])
+        line = f"percent_increase={pct:.2f}"
+        (out / "report.txt").write_text(line + "\n")
+        print(line)
     return EXIT_OK
-
-
-def _default_analysis_manifest() -> ExperimentManifest:
-    return ExperimentManifest(
-        pattern=PatternSpec(family="baseline_fixed", n_dim=2),
-        warmup_seconds=0.0,
-    )
 
 
 def cmd_score(m: ExperimentManifest, out: Path) -> int:
@@ -304,8 +279,7 @@ def cmd_fixtures(out: Path) -> int:
     for name, _spec, record, timeline in fixtures.iter_fixture_runs():
         run_dir = out / name
         run_dir.mkdir(exist_ok=True)
-        records.write_record(record, run_dir / "record.csv")
-        telemetry.write_timeline(timeline, run_dir / f"timeline-{record.timeline_ids[0]}.csv")
+        _write_run_dir(run_dir, record, {record.timeline_ids[0]: timeline})
         count += 1
     print(f"wrote {count} fixture runs to {out}")
     return EXIT_OK
@@ -351,8 +325,8 @@ def main(argv=None) -> int:
         if args.command == "fixtures":
             return cmd_fixtures(Path(args.out or "fixtures-out"))
         if args.command == "replay":
-            m = load_manifest(args.manifest) if args.manifest else None
-            return cmd_replay(args.inputs, Path(args.out or "replay-out"), m)
+            plan = load_manifest(args.manifest).analysis if args.manifest else AnalysisPlan()
+            return cmd_replay(args.inputs, Path(args.out or "replay-out"), plan)
         m = _manifest_for(args)
         out = Path(m.out_dir)
         if args.command == "run":

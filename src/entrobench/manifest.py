@@ -52,6 +52,20 @@ class ModelPlan:
 
 
 @dataclass(frozen=True)
+class AnalysisPlan:
+    tdp_w: float = fixtures.TDP_W
+    baseline_random_w: float = fixtures.RANDOM_INPUT_W
+    baseline_fixed_w: float = fixtures.FIXED_INPUT_W
+    trim_fraction: float = DEFAULT_TRIM_FRACTION
+
+    def __post_init__(self):
+        if self.tdp_w <= 0:
+            raise ConfigError(f"tdp_w must be positive, got {self.tdp_w}")
+        if not 0 <= self.trim_fraction < 0.5:
+            raise ConfigError(f"trim_fraction must be in [0, 0.5), got {self.trim_fraction}")
+
+
+@dataclass(frozen=True)
 class ExperimentManifest:
     pattern: PatternSpec
     reps: int = DEFAULT_REPS
@@ -61,10 +75,7 @@ class ExperimentManifest:
     warmup_seconds: float = DEFAULT_WARMUP_SECONDS
     sources: tuple[str, ...] = ()
     interval_ms: float = DEFAULT_INTERVAL_MS
-    tdp_w: float = fixtures.TDP_W
-    baseline_random_w: float = fixtures.RANDOM_INPUT_W
-    baseline_fixed_w: float = fixtures.FIXED_INPUT_W
-    trim_fraction: float = DEFAULT_TRIM_FRACTION
+    analysis: AnalysisPlan = field(default_factory=AnalysisPlan)
     node_id: str = "local"
     repetitions_per_node: int = 1
     out_dir: str = "out"
@@ -78,12 +89,8 @@ class ExperimentManifest:
                 f"unrecognized manifest schema_version {self.schema_version}; "
                 f"this build reads version {SCHEMA_VERSION}"
             )
-        if self.tdp_w <= 0:
-            raise ConfigError(f"tdp_w must be positive, got {self.tdp_w}")
         if self.repetitions_per_node < 1:
             raise ConfigError("repetitions_per_node must be >= 1")
-        if not 0 <= self.trim_fraction < 0.5:
-            raise ConfigError(f"trim_fraction must be in [0, 0.5), got {self.trim_fraction}")
 
     def gemm_config(self) -> GemmConfig:
         """The GemmConfig fields, which the manifest holds under the same names."""
@@ -107,7 +114,7 @@ class ExperimentManifest:
 
 
 # (section, key, attribute, decode), in written order.  The attribute is an
-# ExperimentManifest field, or pattern.<field>, sweep.<field> or model.<field>.
+# ExperimentManifest field, or <part>.<field> for a part that _PARTS names.
 MANIFEST_KEYS = (
     ("experiment", "schema_version", "schema_version", int),
     ("experiment", "node", "node_id", str),
@@ -125,10 +132,10 @@ MANIFEST_KEYS = (
     ("gemm", "warmup_seconds", "warmup_seconds", float),
     ("telemetry", "sources", "sources", decode_list(",")),
     ("telemetry", "interval_ms", "interval_ms", float),
-    ("analysis", "tdp_w", "tdp_w", float),
-    ("analysis", "baseline_random_w", "baseline_random_w", float),
-    ("analysis", "baseline_fixed_w", "baseline_fixed_w", float),
-    ("analysis", "trim_fraction", "trim_fraction", float),
+    ("analysis", "tdp_w", "analysis.tdp_w", float),
+    ("analysis", "baseline_random_w", "analysis.baseline_random_w", float),
+    ("analysis", "baseline_fixed_w", "analysis.baseline_fixed_w", float),
+    ("analysis", "trim_fraction", "analysis.trim_fraction", float),
     ("sweep", "level_min", "sweep.level_min", int),
     ("sweep", "level_max", "sweep.level_max", lambda t: int(t) if t else None),
     ("sweep", "value_modes", "sweep.value_modes", decode_list(",", lambda s: ValueMode(s).value)),
@@ -140,7 +147,8 @@ MANIFEST_KEYS = (
     ("model", "max_n_dim", "model.max_n_dim", int),
 )
 
-_PARTS = {"": ExperimentManifest, "pattern": PatternSpec, "sweep": SweepPlan, "model": ModelPlan}
+_PARTS = {"": ExperimentManifest, "pattern": PatternSpec, "analysis": AnalysisPlan,
+          "sweep": SweepPlan, "model": ModelPlan}
 
 
 def manifest_to_text(m: ExperimentManifest) -> str:
@@ -149,7 +157,7 @@ def manifest_to_text(m: ExperimentManifest) -> str:
         part = attr.rpartition(".")[0]
         if not part or getattr(m, part) is not None:  # [sweep] is optional
             sections.setdefault(section, {})[key] = encode(attrgetter(attr)(m), ",")
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp.read_dict(sections)
     buf = io.StringIO()
     cp.write(buf)
@@ -157,7 +165,7 @@ def manifest_to_text(m: ExperimentManifest) -> str:
 
 
 def manifest_from_text(text: str) -> ExperimentManifest:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -178,12 +186,10 @@ def manifest_from_text(text: str) -> ExperimentManifest:
             parts[part][name] = decode(cp.get(section, key))
         except ValueError as exc:
             raise ConfigError(f"bad manifest value [{section}] {key}: {exc}") from exc
-    return ExperimentManifest(
-        pattern=PatternSpec(**parts["pattern"]),
-        sweep=SweepPlan(**parts["sweep"]) if cp.has_section("sweep") else None,
-        model=ModelPlan(**parts["model"]),
-        **parts[""],
-    )
+    nested = {part: cls(**parts[part]) for part, cls in _PARTS.items() if part}
+    if not cp.has_section("sweep"):
+        nested["sweep"] = None
+    return ExperimentManifest(**nested, **parts[""])
 
 
 def load_manifest(path) -> ExperimentManifest:

@@ -4,12 +4,16 @@ import re
 
 import pytest
 
-from entrobench import fixtures, records, telemetry
+from entrobench import cli, fixtures, records, telemetry
 from entrobench.cli import main
+from entrobench.errors import SourceError
 from entrobench.manifest import (
+    AnalysisPlan,
     ExperimentManifest,
     ModelPlan,
     SweepPlan,
+    load_manifest,
+    manifest_to_text,
     save_manifest,
 )
 from entrobench.patterns import PatternSpec
@@ -276,6 +280,39 @@ def test_sweep_subrange(tmp_path):
     assert [int(r["level"]) for r in rows] == [3, 4, 5]
 
 
+def test_sweep_of_a_failing_backend_marks_every_point_and_exits_config(tmp_path):
+    manifest = write_manifest(
+        tmp_path / "m.ini",
+        pattern=PatternSpec(family="block_rowcol", n_dim=4, seed=3),
+        backend_id="cublas",
+    )
+    assert main(["--manifest", str(manifest), "sweep"]) == 2
+    assert len(list((tmp_path / "out").glob("*/failed"))) == 6  # levels 0..2, two modes
+
+
+def test_sweep_runs_every_point_and_writes_series_before_reporting_a_failure(
+        tmp_path, monkeypatch):
+    tl = tmp_path / "recorded.csv"
+    write_replay_timeline(tl)
+    manifest = write_manifest(
+        tmp_path / "m.ini", sources=(f"replay:{tl}",),
+        sweep=SweepPlan(level_min=0, level_max=2, value_modes=("independent",)),
+    )
+    original = cli.run_experiment
+
+    def failing_at_level_1(config, **kwargs):
+        if config.pattern.level == 1:
+            raise SourceError("backend lost")
+        return original(config, **kwargs)
+
+    monkeypatch.setattr(cli, "run_experiment", failing_at_level_1)
+    out = tmp_path / "out"
+    assert main(["--manifest", str(manifest), "sweep"]) == 3
+    assert [p.parent.name for p in out.glob("*/failed")] == ["block_rowcol-independent-L01"]
+    rows = read_csv(out / "series-block_rowcol-independent.csv")
+    assert [int(r["level"]) for r in rows] == [0, 2]
+
+
 def test_sweep_rejects_baseline(tmp_path):
     manifest = write_manifest(
         tmp_path / "m.ini",
@@ -319,6 +356,70 @@ def test_replay_of_a_run_is_idempotent(tmp_path):
     assert replayed == original
 
 
+@pytest.mark.parametrize("plan", [
+    SweepPlan(level_min=2, level_max=2),  # two one-level curves
+    SweepPlan(level_min=1, level_max=3, value_modes=("fixed_common",)),
+])
+def test_replay_of_a_sweep_with_its_manifest_reproduces_the_series(tmp_path, plan):
+    tl = tmp_path / "recorded.csv"
+    write_replay_timeline(tl, mean_w=310.0)
+    manifest = write_manifest(tmp_path / "m.ini", sources=(f"replay:{tl}",), sweep=plan,
+                              analysis=AnalysisPlan(tdp_w=350.0, baseline_fixed_w=200.0))
+    out, rp = tmp_path / "out", tmp_path / "rp"
+    assert main(["--manifest", str(manifest), "sweep"]) == 0
+    assert main(["--manifest", str(manifest), "--out", str(rp), "replay", str(out)]) == 0
+    swept = sorted(p.name for p in out.glob("series-*.csv"))
+    assert swept and sorted(p.name for p in rp.glob("series-*.csv")) == swept
+    for name in swept:
+        assert (rp / name).read_bytes() == (out / name).read_bytes()
+
+
+def run_at(tmp_path, name, watts, **overrides):
+    """`run` into tmp_path/name with a constant replayed timeline of watts."""
+    tl = tmp_path / f"{name}.csv"
+    write_replay_timeline(tl, mean_w=watts)
+    manifest = write_manifest(tmp_path / f"{name}.ini", sources=(f"replay:{tl}",),
+                              out_dir=str(tmp_path / "runs" / name), **overrides)
+    assert main(["--manifest", str(manifest), "run"]) == 0
+
+
+def test_replay_averages_the_runs_of_repeated_sweeps(tmp_path):
+    plan = SweepPlan(level_min=1, level_max=2, value_modes=("independent",))
+    for name, watts in (("a", 300.0), ("b", 340.0)):
+        tl = tmp_path / f"{name}.csv"
+        write_replay_timeline(tl, mean_w=watts)
+        manifest = write_manifest(tmp_path / f"{name}.ini", sources=(f"replay:{tl}",),
+                                  sweep=plan, out_dir=str(tmp_path / "sweeps" / name))
+        assert main(["--manifest", str(manifest), "sweep"]) == 0
+    rp = tmp_path / "rp"
+    assert main(["--out", str(rp), "replay", str(tmp_path / "sweeps")]) == 0
+    rows = read_csv(rp / "series-block_rowcol-independent.csv")
+    assert [(int(r["level"]), float(r["mean_w"])) for r in rows] == [(1, 320.0), (2, 320.0)]
+    assert len(read_csv(rp / "summary.csv")) == 4
+
+
+def test_replay_averages_baselines_over_nodes(tmp_path, capsys):
+    for family, node, watts in (("baseline_random", "n1", 400.0),
+                                ("baseline_random", "n2", 420.0),
+                                ("baseline_fixed", "n1", 200.0),
+                                ("baseline_fixed", "n2", 220.0)):
+        run_at(tmp_path, f"{family}-{node}", watts, node_id=node,
+               pattern=PatternSpec(family=family, n_dim=64, seed=3))
+    rp = tmp_path / "rp"
+    assert main(["--out", str(rp), "replay", str(tmp_path / "runs")]) == 0
+    assert (rp / "report.txt").read_text() == "percent_increase=95.24\n"  # 410 W over 210 W
+    assert capsys.readouterr().out.endswith("percent_increase=95.24\n")
+
+
+def test_replay_point_is_the_mean_of_its_node_means(tmp_path):
+    for name, node, watts in (("a0", "a", 300.0), ("a1", "a", 310.0), ("b0", "b", 400.0)):
+        run_at(tmp_path, name, watts, node_id=node)
+    rp = tmp_path / "rp"
+    assert main(["--out", str(rp), "replay", str(tmp_path / "runs")]) == 0
+    (row,) = read_csv(rp / "series-block_rowcol-independent.csv")
+    assert (int(row["level"]), float(row["mean_w"])) == (1, 352.5)  # (305 + 400) / 2
+
+
 def test_replay_with_no_runs_exits_config(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -353,6 +454,23 @@ def test_score_budget_guard(tmp_path):
         pattern=PatternSpec(family="baseline_random", n_dim=4096, seed=0),
     )
     assert main(["--manifest", str(manifest), "score"]) == 2
+
+
+@pytest.mark.parametrize("via_option", [False, True])
+def test_percent_sign_in_a_manifest_value(tmp_path, via_option):
+    out = tmp_path / "res%1"
+    manifest = write_manifest(tmp_path / "m.ini", out_dir=str(out))
+    argv = ["--manifest", str(manifest)]
+    if via_option:
+        out = tmp_path / "r%1"
+        argv += ["--out", str(out)]
+    assert main(argv + ["run"]) == 0
+    assert not (out / "failed").exists()
+    text = (out / "manifest").read_text()
+    assert f"out = {out}\n" in text
+    assert manifest_to_text(load_manifest(out / "manifest")) == text
+    if not via_option:
+        assert text == manifest.read_text()
 
 
 def test_seed_override_changes_digest(tmp_path):

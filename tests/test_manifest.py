@@ -7,6 +7,7 @@ import pytest
 from entrobench.errors import ConfigError
 from entrobench.manifest import (
     MANIFEST_KEYS,
+    AnalysisPlan,
     ExperimentManifest,
     ModelPlan,
     SweepPlan,
@@ -103,7 +104,8 @@ def test_text_is_pinned():
 def test_key_table_covers_each_field_once():
     keys = [(section, key) for section, key, _, _ in MANIFEST_KEYS]
     assert len(set(keys)) == len(keys)
-    parts = {"pattern": PatternSpec, "sweep": SweepPlan, "model": ModelPlan}
+    parts = {"pattern": PatternSpec, "analysis": AnalysisPlan, "sweep": SweepPlan,
+             "model": ModelPlan}
     fields = [f.name for f in dataclasses.fields(ExperimentManifest) if f.name not in parts]
     for part, cls in parts.items():
         fields += [f"{part}.{f.name}" for f in dataclasses.fields(cls)]
@@ -138,10 +140,8 @@ def test_minimal_text_uses_defaults():
     assert m.reps == 100
     assert m.warmup_seconds == 60.0
     assert m.interval_ms == 100.0
-    assert m.tdp_w == 400.0
-    assert m.baseline_random_w == 398.2
-    assert m.baseline_fixed_w == 238.5
-    assert m.trim_fraction == 0.05
+    assert m.analysis == AnalysisPlan(tdp_w=400.0, baseline_random_w=398.2,
+                                      baseline_fixed_w=238.5, trim_fraction=0.05)
     assert m.backend_id == "reference"
     assert m.model == ModelPlan()
     assert m.sweep is None
@@ -198,11 +198,11 @@ def test_gemm_config_and_backend_check():
 
 def test_validation_errors():
     with pytest.raises(ConfigError):
-        sample_manifest(tdp_w=0.0)
+        sample_manifest(analysis=AnalysisPlan(tdp_w=0.0))
     with pytest.raises(ConfigError):
         sample_manifest(repetitions_per_node=0)
     for trim in (-0.01, 0.5, 0.6):
         with pytest.raises(ConfigError, match="trim_fraction"):
-            sample_manifest(trim_fraction=trim)
+            AnalysisPlan(trim_fraction=trim)
     with pytest.raises(ConfigError, match="value_modes"):
         SweepPlan(value_modes=())
