@@ -8,12 +8,10 @@ fractions, and pJ/FLOP estimates.
 
 from .analysis import (
     PowerStats,
-    SweepSeries,
     aggregate_runs,
     percent_increase,
     pj_per_flop,
     steady_state_window,
-    sweep_series,
     tdp_fraction,
 )
 from .gemm import GemmConfig, RunRecord, flop_count, reference_gemm, run_experiment

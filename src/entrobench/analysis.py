@@ -30,16 +30,6 @@ class PowerStats:
 
 
 @dataclass(frozen=True)
-class SweepSeries:
-    family: str
-    value_mode: str
-    points: tuple[tuple[int, float], ...]  # (level, mean watts), sorted
-    tdp_w: float
-    baseline_random_w: float
-    baseline_fixed_w: float
-
-
-@dataclass(frozen=True)
 class AggregateResult:
     node_means: dict
     grand_mean: float
@@ -121,27 +111,3 @@ def aggregate_runs(means_by_node) -> AggregateResult:
         spread_warning=spread > NODE_SPREAD_WARN_FRACTION,
     )
 
-
-def sweep_series(
-    family: str,
-    value_mode: str,
-    level_means,
-    tdp_w: float,
-    baseline_random_w: float,
-    baseline_fixed_w: float,
-) -> SweepSeries:
-    """Assemble a (level, mean watts) series with its reference lines."""
-    if tdp_w <= 0:
-        raise ConfigError(f"tdp_w must be positive, got {tdp_w}")
-    points = sorted((int(level), float(mean)) for level, mean in level_means)
-    levels = [p[0] for p in points]
-    if len(set(levels)) != len(levels):
-        raise ConfigError(f"duplicate levels in sweep series: {levels}")
-    return SweepSeries(
-        family=str(family),
-        value_mode=str(value_mode),
-        points=tuple(points),
-        tdp_w=tdp_w,
-        baseline_random_w=baseline_random_w,
-        baseline_fixed_w=baseline_fixed_w,
-    )

@@ -100,14 +100,10 @@ def _write_series(runs, out: Path, plan: AnalysisPlan) -> dict[str, float]:
             point = curve.setdefault(row["level"], {})
         point.setdefault(record.node_id, []).append(row["mean_w"])
     for (family, mode), points in sorted(curves.items()):
-        series = analysis.sweep_series(
-            family, mode, ((level, analysis.aggregate_runs(by_node).grand_mean)
-                           for level, by_node in points.items()),
-            plan.tdp_w, plan.baseline_random_w, plan.baseline_fixed_w)
         _write_csv(out / f"series-{family}-{mode}.csv", SERIES_HEADER, (
-            (family, mode, level, mean_w,
-             series.tdp_w, series.baseline_random_w, series.baseline_fixed_w)
-            for level, mean_w in series.points))
+            (family, mode, level, analysis.aggregate_runs(by_node).grand_mean,
+             plan.tdp_w, plan.baseline_random_w, plan.baseline_fixed_w)
+            for level, by_node in sorted(points.items())))
     return {family: analysis.aggregate_runs(by_node).grand_mean
             for family, by_node in baselines.items()}
 
@@ -134,7 +130,7 @@ def execute_run(m: ExperimentManifest, run_dir: Path, run_index: int = 0):
     run_dir.mkdir(parents=True, exist_ok=True)
     phase = "configure"
     try:
-        get_backend(m.backend_id)
+        get_backend(m.config.backend_id)
         (run_dir / "manifest").write_text(manifest_to_text(m))
         (run_dir / "manifest.sha256").write_text(manifest_digest(m) + "\n")
 
@@ -143,9 +139,7 @@ def execute_run(m: ExperimentManifest, run_dir: Path, run_index: int = 0):
 
         phase = "workload"
         record, timelines = run_experiment(
-            m.gemm_config(), samplers=samplers,
-            node_id=m.node_id, run_index=run_index,
-        )
+            m.config, samplers=samplers, node_id=m.node_id, run_index=run_index)
 
         phase = "persist"
         _write_run_dir(run_dir, record, timelines)
@@ -184,31 +178,46 @@ def discover_run_dirs(paths) -> list[Path]:
     return sorted(set(found))
 
 
+def _run_points(points):
+    """Run each (manifest, directory) point's repetitions, trying every run.
+
+    A point with several repetitions runs them in run-NNN under its
+    directory.  Returns the (record, summary row) pairs of the runs that
+    succeeded and the errors of those that failed.
+    """
+    runs, errors = [], []
+    for m, out in points:
+        for rep in range(m.repetitions_per_node):
+            run_dir = out / f"run-{rep:03d}" if m.repetitions_per_node > 1 else out
+            try:
+                record, row = execute_run(m, run_dir, run_index=rep)
+            except EntrobenchError as exc:
+                print(f"run {run_dir} failed: {exc}", file=sys.stderr)
+                errors.append(exc)
+                continue
+            runs.append((record, row))
+            print(f"run {run_dir}: {row['family']} L{row['level']} "
+                  f"mean_w={records.encode(row['mean_w'], '') or 'n/a'}")
+    return runs, errors
+
+
 def cmd_run(m: ExperimentManifest, out: Path) -> int:
-    for rep in range(m.repetitions_per_node):
-        run_dir = out / f"run-{rep:03d}" if m.repetitions_per_node > 1 else out
-        _, row = execute_run(m, run_dir, run_index=rep)
-        print(f"run {run_dir}: {row['family']} L{row['level']} "
-              f"mean_w={records.encode(row['mean_w'], '') or 'n/a'}")
+    _, errors = _run_points([(m, out)])
+    if errors:  # every repetition ran; the exit code reports the first failure
+        raise errors[0]
     return EXIT_OK
 
 
 def cmd_sweep(m: ExperimentManifest, out: Path) -> int:
-    if m.pattern.is_baseline:
+    if m.config.pattern.is_baseline:
         raise ConfigError("sweep requires a pattern family, not a baseline")
-    runs, failures = [], []
-    for spec in m.sweep_specs():
-        level, mode = spec.level, spec.value_mode.value
-        sub = dataclasses.replace(m, pattern=spec, sweep=None)
-        run_dir = out / f"{spec.family.value}-{mode}-L{level:02d}"
-        try:
-            runs.append(execute_run(sub, run_dir))
-        except EntrobenchError as exc:
-            print(f"level {level} ({mode}) failed: {exc}", file=sys.stderr)
-            failures.append(exc)
+    runs, errors = _run_points(
+        (dataclasses.replace(m, config=dataclasses.replace(m.config, pattern=spec), sweep=None),
+         out / f"{spec.family.value}-{spec.value_mode.value}-L{spec.level:02d}")
+        for spec in m.sweep_specs())
     _write_series(runs, out, m.analysis)
-    if failures:  # every point ran; the exit code reports the first failure
-        raise failures[0]
+    if errors:  # every run ran; the exit code reports the first failure
+        raise errors[0]
     return EXIT_OK
 
 
@@ -237,10 +246,10 @@ def cmd_replay(inputs, out: Path, plan: AnalysisPlan) -> int:
 
 
 def cmd_score(m: ExperimentManifest, out: Path) -> int:
-    plan = m.model
-    if m.pattern.n_dim > plan.max_n_dim:
+    plan, pattern = m.model, m.config.pattern
+    if pattern.n_dim > plan.max_n_dim:
         raise ConfigError(
-            f"n_dim={m.pattern.n_dim} exceeds the simulation budget "
+            f"n_dim={pattern.n_dim} exceeds the simulation budget "
             f"({plan.max_n_dim}): run time grows as N^3 per spec (memory "
             f"only as N^2); raise [model] max_n_dim to override"
         )
@@ -250,10 +259,10 @@ def cmd_score(m: ExperimentManifest, out: Path) -> int:
     else:
         schedule = model.Schedule(lanes=plan.lanes, tile=tile)
 
-    if m.sweep is not None and not m.pattern.is_baseline:
+    if m.sweep is not None and not pattern.is_baseline:
         specs = m.sweep_specs()
     else:
-        specs = [m.pattern]
+        specs = [pattern]
 
     ranked = model.predict_ordering(specs, schedule, plan.w_mul, plan.w_acc)
     for rank, (spec, report) in enumerate(ranked, start=1):
@@ -309,9 +318,8 @@ def _manifest_for(args) -> ExperimentManifest:
         raise ConfigError(f"{args.command} requires --manifest")
     m = load_manifest(args.manifest)
     if args.seed is not None:
-        m = dataclasses.replace(
-            m, pattern=dataclasses.replace(m.pattern, seed=args.seed)
-        )
+        pattern = dataclasses.replace(m.config.pattern, seed=args.seed)
+        m = dataclasses.replace(m, config=dataclasses.replace(m.config, pattern=pattern))
     if args.interval_ms is not None:
         m = dataclasses.replace(m, interval_ms=args.interval_ms)
     if args.out:

@@ -5,8 +5,10 @@ A manifest is a single INI-style text file with one section per module
 [experiment] section carrying schema version and provenance labels.
 MANIFEST_KEYS is the list of keys; a key it does not list is a
 configuration error, and an absent key takes the default of the dataclass
-field it sets.  The canonical serialization is deterministic, so manifests
-round-trip byte-identically and can be archived next to their outputs.
+field it sets.  [pattern] and [gemm] load as the GemmConfig a run executes,
+and every part checks its values when the manifest loads.  The canonical
+serialization is deterministic, so manifests round-trip byte-identically
+and can be archived next to their outputs.
 """
 
 from __future__ import annotations
@@ -14,13 +16,13 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, replace
 from operator import attrgetter
 
 from . import fixtures
 from .analysis import DEFAULT_TRIM_FRACTION
 from .errors import ConfigError
-from .gemm import DEFAULT_REPS, DEFAULT_WARMUP_SECONDS, GemmConfig
+from .gemm import GemmConfig
 from .patterns import Family, PatternSpec, ValueMode
 from .records import decode_list, encode
 from .telemetry import DEFAULT_INTERVAL_MS
@@ -67,12 +69,7 @@ class AnalysisPlan:
 
 @dataclass(frozen=True)
 class ExperimentManifest:
-    pattern: PatternSpec
-    reps: int = DEFAULT_REPS
-    alpha: float = 1.0
-    beta: float = 1.0
-    backend_id: str = "reference"
-    warmup_seconds: float = DEFAULT_WARMUP_SECONDS
+    config: GemmConfig
     sources: tuple[str, ...] = ()
     interval_ms: float = DEFAULT_INTERVAL_MS
     analysis: AnalysisPlan = field(default_factory=AnalysisPlan)
@@ -92,44 +89,39 @@ class ExperimentManifest:
         if self.repetitions_per_node < 1:
             raise ConfigError("repetitions_per_node must be >= 1")
 
-    def gemm_config(self) -> GemmConfig:
-        """The GemmConfig fields, which the manifest holds under the same names."""
-        return GemmConfig(**{f.name: getattr(self, f.name) for f in fields(GemmConfig)})
-
     def sweep_levels(self) -> range:
-        plan = self.sweep or SweepPlan()
-        hi = plan.level_max if plan.level_max is not None else self.pattern.max_level
-        if not 0 <= plan.level_min <= hi <= self.pattern.max_level:
+        plan, pattern = self.sweep or SweepPlan(), self.config.pattern
+        hi = plan.level_max if plan.level_max is not None else pattern.max_level
+        if not 0 <= plan.level_min <= hi <= pattern.max_level:
             raise ConfigError(
-                f"sweep range [{plan.level_min}, {hi}] invalid for "
-                f"n_dim={self.pattern.n_dim}"
-            )
+                f"sweep range [{plan.level_min}, {hi}] invalid for n_dim={pattern.n_dim}")
         return range(plan.level_min, hi + 1)
 
     def sweep_specs(self) -> list[PatternSpec]:
         """The pattern at each sweep point: value modes outer, levels ascending."""
         levels, modes = self.sweep_levels(), (self.sweep or SweepPlan()).value_modes
-        return [replace(self.pattern, level=level, value_mode=mode)
+        return [replace(self.config.pattern, level=level, value_mode=mode)
                 for mode in modes for level in levels]
 
 
-# (section, key, attribute, decode), in written order.  The attribute is an
-# ExperimentManifest field, or <part>.<field> for a part that _PARTS names.
+# (section, key, attribute, decode), in written order.  The attribute is a
+# path into ExperimentManifest: <field>, or <part>.<field> for a part that
+# _PARTS names.  The [pattern] and [gemm] paths are those of RECORD_COLUMNS.
 MANIFEST_KEYS = (
     ("experiment", "schema_version", "schema_version", int),
     ("experiment", "node", "node_id", str),
     ("experiment", "repetitions", "repetitions_per_node", int),
     ("experiment", "out", "out_dir", str),
-    ("pattern", "family", "pattern.family", Family),
-    ("pattern", "n", "pattern.n_dim", int),
-    ("pattern", "level", "pattern.level", int),
-    ("pattern", "value_mode", "pattern.value_mode", ValueMode),
-    ("pattern", "seed", "pattern.seed", int),
-    ("gemm", "reps", "reps", int),
-    ("gemm", "alpha", "alpha", float),
-    ("gemm", "beta", "beta", float),
-    ("gemm", "backend", "backend_id", str),
-    ("gemm", "warmup_seconds", "warmup_seconds", float),
+    ("pattern", "family", "config.pattern.family", Family),
+    ("pattern", "n", "config.pattern.n_dim", int),
+    ("pattern", "level", "config.pattern.level", int),
+    ("pattern", "value_mode", "config.pattern.value_mode", ValueMode),
+    ("pattern", "seed", "config.pattern.seed", int),
+    ("gemm", "reps", "config.reps", int),
+    ("gemm", "alpha", "config.alpha", float),
+    ("gemm", "beta", "config.beta", float),
+    ("gemm", "backend", "config.backend_id", str),
+    ("gemm", "warmup_seconds", "config.warmup_seconds", float),
     ("telemetry", "sources", "sources", decode_list(",")),
     ("telemetry", "interval_ms", "interval_ms", float),
     ("analysis", "tdp_w", "analysis.tdp_w", float),
@@ -147,15 +139,14 @@ MANIFEST_KEYS = (
     ("model", "max_n_dim", "model.max_n_dim", int),
 )
 
-_PARTS = {"": ExperimentManifest, "pattern": PatternSpec, "analysis": AnalysisPlan,
-          "sweep": SweepPlan, "model": ModelPlan}
+_PARTS = {"": ExperimentManifest, "config": GemmConfig, "config.pattern": PatternSpec,
+          "analysis": AnalysisPlan, "sweep": SweepPlan, "model": ModelPlan}
 
 
 def manifest_to_text(m: ExperimentManifest) -> str:
     sections = {}
     for section, key, attr, _ in MANIFEST_KEYS:
-        part = attr.rpartition(".")[0]
-        if not part or getattr(m, part) is not None:  # [sweep] is optional
+        if section != "sweep" or m.sweep is not None:  # only [sweep] is optional
             sections.setdefault(section, {})[key] = encode(attrgetter(attr)(m), ",")
     cp = configparser.ConfigParser(interpolation=None)
     cp.read_dict(sections)
@@ -186,10 +177,10 @@ def manifest_from_text(text: str) -> ExperimentManifest:
             parts[part][name] = decode(cp.get(section, key))
         except ValueError as exc:
             raise ConfigError(f"bad manifest value [{section}] {key}: {exc}") from exc
-    nested = {part: cls(**parts[part]) for part, cls in _PARTS.items() if part}
-    if not cp.has_section("sweep"):
-        nested["sweep"] = None
-    return ExperimentManifest(**nested, **parts[""])
+    config = GemmConfig(pattern=PatternSpec(**parts["config.pattern"]), **parts["config"])
+    sweep = SweepPlan(**parts["sweep"]) if cp.has_section("sweep") else None
+    return ExperimentManifest(config=config, analysis=AnalysisPlan(**parts["analysis"]),
+                              sweep=sweep, model=ModelPlan(**parts["model"]), **parts[""])
 
 
 def load_manifest(path) -> ExperimentManifest:

@@ -13,7 +13,7 @@ import pytest
 
 from entrobench import analysis, fixtures, model, records, telemetry
 from entrobench.cli import main
-from entrobench.gemm import reference_gemm
+from entrobench.gemm import GemmConfig, reference_gemm
 from entrobench.manifest import ExperimentManifest, manifest_from_text, manifest_to_text
 from entrobench.patterns import PatternSpec, generate, masks, random_fraction
 
@@ -171,7 +171,7 @@ def test_criterion_6_determinism_and_round_trips(capsys, tmp_path):
             telemetry.timeline_from_text(telemetry.timeline_to_text(timeline))
         ) == telemetry.timeline_to_text(timeline)
 
-        m = ExperimentManifest(pattern=spec, warmup_seconds=0.0,
+        m = ExperimentManifest(config=GemmConfig(spec, warmup_seconds=0.0),
                                out_dir=str(tmp_path / "out"))
         assert manifest_to_text(manifest_from_text(manifest_to_text(m))) \
             == manifest_to_text(m)
@@ -199,13 +199,13 @@ def test_criterion_7_protocol_conformance_via_replay(capsys, tmp_path):
         tl_path = tmp_path / "recorded.csv"
         telemetry.write_timeline(fixtures.constant_timeline(300.0), tl_path)
         m = ExperimentManifest(
-            pattern=PatternSpec(family="baseline_fixed", n_dim=16),
-            warmup_seconds=0.05,           # exercised, kept short for CI
+            config=GemmConfig(PatternSpec(family="baseline_fixed", n_dim=16),
+                              warmup_seconds=0.05),  # exercised, kept short for CI
             sources=(f"replay:{tl_path}",),
             repetitions_per_node=3,
             out_dir=str(tmp_path / "out"),
         )
-        assert m.reps == 100               # protocol default
+        assert m.config.reps == 100        # protocol default
         assert m.interval_ms == 100.0      # protocol default
         from entrobench.manifest import save_manifest
 

@@ -9,7 +9,6 @@ from entrobench.analysis import (
     percent_increase,
     pj_per_flop,
     steady_state_window,
-    sweep_series,
     tdp_fraction,
 )
 from entrobench.errors import ConfigError, InsufficientDataError
@@ -127,18 +126,6 @@ def test_aggregate_rejects_empty():
         aggregate_runs({})
     with pytest.raises(InsufficientDataError):
         aggregate_runs({"a": []})
-
-
-def test_sweep_series_sorts_and_validates():
-    series = sweep_series("sparse_rowcol", "independent",
-                          [(2, 280.0), (0, 270.0), (1, 275.0)],
-                          tdp_w=400.0, baseline_random_w=398.2,
-                          baseline_fixed_w=238.5)
-    assert series.points == ((0, 270.0), (1, 275.0), (2, 280.0))
-    with pytest.raises(ConfigError):
-        sweep_series("f", "m", [(0, 1.0), (0, 2.0)], 400.0, 398.2, 238.5)
-    with pytest.raises(ConfigError):
-        sweep_series("f", "m", [(0, 1.0)], 0.0, 398.2, 238.5)
 
 
 def test_fixture_timelines_reproduce_recorded_means():

@@ -7,6 +7,7 @@ import pytest
 from entrobench import cli, fixtures, records, telemetry
 from entrobench.cli import main
 from entrobench.errors import SourceError
+from entrobench.gemm import GemmConfig
 from entrobench.manifest import (
     AnalysisPlan,
     ExperimentManifest,
@@ -23,11 +24,10 @@ def write_replay_timeline(path, mean_w=300.0):
     telemetry.write_timeline(fixtures.constant_timeline(mean_w), path)
 
 
-def write_manifest(path, **overrides):
+def write_manifest(path, pattern=PatternSpec(family="block_rowcol", n_dim=64, level=1, seed=3),
+                   backend_id="reference", **overrides):
     kw = dict(
-        pattern=PatternSpec(family="block_rowcol", n_dim=64, level=1, seed=3),
-        reps=1,
-        warmup_seconds=0.0,
+        config=GemmConfig(pattern, reps=1, backend_id=backend_id, warmup_seconds=0.0),
         out_dir=str(path.parent / "out"),
     )
     kw.update(overrides)
@@ -179,6 +179,12 @@ def test_replay_of_run_with_missing_named_timeline_exits_source(tmp_path, capsys
     ("reps", "abc", "run"),  # [gemm]
     ("reps", "abc", "sweep"),
     ("reps", "abc", "score"),
+    ("reps", "0", "run"),  # checked by GemmConfig at load
+    ("reps", "0", "sweep"),
+    ("reps", "0", "score"),
+    ("warmup_seconds", "-1", "run"),
+    ("warmup_seconds", "-1", "sweep"),
+    ("warmup_seconds", "-1", "score"),
     ("lanes", "x", "run"),  # [model]
     ("lanes", "x", "sweep"),
     ("lanes", "x", "score"),
@@ -195,7 +201,7 @@ def test_malformed_manifest_value_exits_config(tmp_path, capsys, key, value, com
     assert main(["--manifest", str(manifest), command]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and key in err
-    assert not list(tmp_path.glob("out/**/record.csv"))  # rejected before any run
+    assert not (tmp_path / "out").exists()  # rejected before any run
 
 
 @pytest.mark.parametrize("section,key", [("gemm", "rep"), ("model", "lane"), ("bogus", "x")])
@@ -313,6 +319,45 @@ def test_sweep_runs_every_point_and_writes_series_before_reporting_a_failure(
     assert [int(r["level"]) for r in rows] == [0, 2]
 
 
+def test_run_keeps_going_after_a_failed_repetition(tmp_path, monkeypatch, capsys):
+    manifest = write_manifest(tmp_path / "m.ini", repetitions_per_node=3)
+    original = cli.run_experiment
+
+    def failing_at_run_1(config, **kwargs):
+        if kwargs["run_index"] == 1:
+            raise SourceError("backend lost")
+        return original(config, **kwargs)
+
+    monkeypatch.setattr(cli, "run_experiment", failing_at_run_1)
+    out = tmp_path / "out"
+    assert main(["--manifest", str(manifest), "run"]) == 3
+    assert f"run {out / 'run-001'} failed: backend lost" in capsys.readouterr().err
+    assert (out / "run-000" / "record.csv").exists()
+    assert (out / "run-001" / "failed").exists()
+    assert not (out / "run-001" / "record.csv").exists()
+    assert (out / "run-002" / "record.csv").exists()
+
+
+def test_sweep_runs_each_points_repetitions(tmp_path, capsys):
+    tl = tmp_path / "recorded.csv"
+    write_replay_timeline(tl, mean_w=330.0)
+    manifest = write_manifest(
+        tmp_path / "m.ini", sources=(f"replay:{tl}",), repetitions_per_node=3,
+        sweep=SweepPlan(level_min=1, level_max=2, value_modes=("independent",)),
+    )
+    out = tmp_path / "out"
+    assert main(["--manifest", str(manifest), "sweep"]) == 0
+    for level in (1, 2):
+        point = out / f"block_rowcol-independent-L{level:02d}"
+        assert sorted(p.name for p in point.iterdir()) == ["run-000", "run-001", "run-002"]
+        for rep in range(3):
+            assert records.read_record(point / f"run-{rep:03d}" / "record.csv").run_index == rep
+    rows = read_csv(out / "series-block_rowcol-independent.csv")
+    assert [(int(r["level"]), float(r["mean_w"])) for r in rows] == [(1, 330.0), (2, 330.0)]
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6 and all(line.startswith("run ") for line in lines)
+
+
 def test_sweep_rejects_baseline(tmp_path):
     manifest = write_manifest(
         tmp_path / "m.ini",
@@ -418,6 +463,17 @@ def test_replay_point_is_the_mean_of_its_node_means(tmp_path):
     assert main(["--out", str(rp), "replay", str(tmp_path / "runs")]) == 0
     (row,) = read_csv(rp / "series-block_rowcol-independent.csv")
     assert (int(row["level"]), float(row["mean_w"])) == (1, 352.5)  # (305 + 400) / 2
+
+
+def test_replay_writes_series_levels_ascending_whatever_the_directory_order(tmp_path):
+    for name, level in (("a", 2), ("b", 0), ("c", 1)):  # names sort against levels
+        run_at(tmp_path, name, 300.0 + level,
+               pattern=PatternSpec(family="block_rowcol", n_dim=64, level=level, seed=3))
+    rp = tmp_path / "rp"
+    assert main(["--out", str(rp), "replay", str(tmp_path / "runs")]) == 0
+    rows = read_csv(rp / "series-block_rowcol-independent.csv")
+    assert [(int(r["level"]), float(r["mean_w"])) for r in rows] == [
+        (0, 300.0), (1, 301.0), (2, 302.0)]
 
 
 def test_replay_with_no_runs_exits_config(tmp_path):

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from entrobench.errors import ConfigError
+from entrobench.gemm import GemmConfig
 from entrobench.manifest import (
     MANIFEST_KEYS,
     AnalysisPlan,
@@ -22,12 +23,11 @@ from entrobench.patterns import PatternSpec
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def sample_manifest(**overrides):
+def sample_manifest(reps=5, **overrides):
     kw = dict(
-        pattern=PatternSpec(family="sparse_diagonal", n_dim=64, level=3,
-                            value_mode="fixed_common", seed=17),
-        reps=5,
-        warmup_seconds=0.0,
+        config=GemmConfig(PatternSpec(family="sparse_diagonal", n_dim=64, level=3,
+                                      value_mode="fixed_common", seed=17),
+                          reps=reps, warmup_seconds=0.0),
         sources=("replay:tl.csv",),
         sweep=SweepPlan(level_min=1, level_max=4),
         model=ModelPlan(lanes=4, w_acc=0.5),
@@ -104,18 +104,20 @@ def test_text_is_pinned():
 def test_key_table_covers_each_field_once():
     keys = [(section, key) for section, key, _, _ in MANIFEST_KEYS]
     assert len(set(keys)) == len(keys)
-    parts = {"pattern": PatternSpec, "analysis": AnalysisPlan, "sweep": SweepPlan,
-             "model": ModelPlan}
-    fields = [f.name for f in dataclasses.fields(ExperimentManifest) if f.name not in parts]
+    parts = {"config": GemmConfig, "config.pattern": PatternSpec, "analysis": AnalysisPlan,
+             "sweep": SweepPlan, "model": ModelPlan}
+    fields = [f.name for f in dataclasses.fields(ExperimentManifest)]
     for part, cls in parts.items():
         fields += [f"{part}.{f.name}" for f in dataclasses.fields(cls)]
-    assert sorted(attr for _, _, attr, _ in MANIFEST_KEYS) == sorted(fields)
+    assert sorted(attr for _, _, attr, _ in MANIFEST_KEYS) == sorted(
+        f for f in fields if f not in parts)
 
 
 def test_readme_example_parses():
     example = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
     m = manifest_from_text(example)
-    assert m.pattern == PatternSpec(family="sparse_diagonal", n_dim=16384, level=4, seed=7)
+    assert m.config.pattern == PatternSpec(family="sparse_diagonal", n_dim=16384, level=4,
+                                           seed=7)
     assert m.sources == ("pm:/sys/cray/pm_counters/power",)
 
 
@@ -137,12 +139,12 @@ def test_minimal_text_uses_defaults():
     m = manifest_from_text(
         "[pattern]\nfamily = baseline_random\nn = 16\n"
     )
-    assert m.reps == 100
-    assert m.warmup_seconds == 60.0
+    assert m.config.reps == 100
+    assert m.config.warmup_seconds == 60.0
     assert m.interval_ms == 100.0
     assert m.analysis == AnalysisPlan(tdp_w=400.0, baseline_random_w=398.2,
                                       baseline_fixed_w=238.5, trim_fraction=0.05)
-    assert m.backend_id == "reference"
+    assert m.config.backend_id == "reference"
     assert m.model == ModelPlan()
     assert m.sweep is None
 
@@ -187,13 +189,6 @@ def test_sweep_specs_are_modes_outer_levels_ascending():
         ("independent", 1), ("independent", 2), ("fixed_common", 1), ("fixed_common", 2)]
     assert all(s.family.value == "sparse_diagonal" and s.seed == 17 for s in m.sweep_specs())
     assert len(sample_manifest(sweep=None).sweep_specs()) == 14  # default plan, N=64
-
-
-def test_gemm_config_and_backend_check():
-    m = sample_manifest()
-    cfg = m.gemm_config()
-    assert cfg.pattern == m.pattern
-    assert cfg.reps == 5
 
 
 def test_validation_errors():
