@@ -89,7 +89,7 @@ def tdp_fraction(mean_w: float, tdp_w: float) -> float:
 def aggregate_runs(means_by_node) -> AggregateResult:
     """Per-node means of repetition means, plus cross-node spread.
 
-    Accepts {node_id: [PowerStats or mean watts, ...]}.  Spread above 2%
+    Accepts {node_id: [mean watts, ...]}.  Spread above 2%
     raises only a warning flag; the aggregation itself never fails on
     spread.
     """
@@ -99,8 +99,7 @@ def aggregate_runs(means_by_node) -> AggregateResult:
     for node, runs in means_by_node.items():
         if not runs:
             continue
-        values = [r.mean_w if isinstance(r, PowerStats) else float(r) for r in runs]
-        node_means[node] = sum(values) / len(values)
+        node_means[node] = sum(runs) / len(runs)
     grand = sum(node_means.values()) / len(node_means)
     lo, hi = min(node_means.values()), max(node_means.values())
     spread = (hi - lo) / lo if lo > 0 else 0.0

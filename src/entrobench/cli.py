@@ -43,7 +43,7 @@ def build_sampler(descriptor: str,
     kind, _, arg = descriptor.partition(":")
     if kind == "replay":
         try:
-            return telemetry.ReplaySampler(telemetry.read_timeline(arg), interval_ms)
+            return telemetry.ReplaySampler(telemetry.read_timeline(arg))
         except OSError as exc:
             raise ConfigError(f"cannot read replay timeline {arg!r}: {exc}") from exc
     if kind == "pm":
@@ -54,7 +54,7 @@ def build_sampler(descriptor: str,
         def read_uj(path=path):
             return float(Path(path).read_text().split()[0])
 
-        source = telemetry.EnergyCounterSource(read_uj, name="rapl", scale=1e-6)
+        source = telemetry.EnergyCounterSource(read_uj, scale=1e-6)
     else:
         raise ConfigError(f"unknown telemetry source descriptor {descriptor!r}")
     return telemetry.Sampler(source, interval_ms=interval_ms)
@@ -253,18 +253,12 @@ def cmd_score(m: ExperimentManifest, out: Path) -> int:
             f"({plan.max_n_dim}): run time grows as N^3 per spec (memory "
             f"only as N^2); raise [model] max_n_dim to override"
         )
-    tile = (plan.tile_m, plan.tile_n)
-    if tile == (1, 1) and plan.lanes > 1:
-        schedule = model.schedule_for_lanes(plan.lanes)
-    else:
-        schedule = model.Schedule(lanes=plan.lanes, tile=tile)
-
     if m.sweep is not None and not pattern.is_baseline:
         specs = m.sweep_specs()
     else:
         specs = [pattern]
 
-    ranked = model.predict_ordering(specs, schedule, plan.w_mul, plan.w_acc)
+    ranked = model.predict_ordering(specs, model.schedule_for_lanes(plan.lanes))
     for rank, (spec, report) in enumerate(ranked, start=1):
         print(f"#{rank} {spec.family.value} L{spec.level} {spec.value_mode.value} "
               f"score={report.score_per_flop:.3f}")
@@ -301,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--manifest", help="experiment manifest path")
     parser.add_argument("--out", help="output directory (overrides manifest)")
-    parser.add_argument("--seed", type=int, help="override pattern seed")
-    parser.add_argument("--interval-ms", type=float, help="override sampling interval")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("run", help="run one experiment from a manifest")
     sub.add_parser("sweep", help="run all levels of a pattern family")
@@ -317,11 +309,6 @@ def _manifest_for(args) -> ExperimentManifest:
     if not args.manifest:
         raise ConfigError(f"{args.command} requires --manifest")
     m = load_manifest(args.manifest)
-    if args.seed is not None:
-        pattern = dataclasses.replace(m.config.pattern, seed=args.seed)
-        m = dataclasses.replace(m, config=dataclasses.replace(m.config, pattern=pattern))
-    if args.interval_ms is not None:
-        m = dataclasses.replace(m, interval_ms=args.interval_ms)
     if args.out:
         m = dataclasses.replace(m, out_dir=args.out)
     return m

@@ -92,20 +92,17 @@ FIXTURE_SAMPLE_COUNT = 20
 FIXTURE_INTERVAL_MS = 100.0
 
 
-def constant_timeline(mean_w: float, source: str = "fixture",
-                      count: int = FIXTURE_SAMPLE_COUNT,
+def constant_timeline(mean_w: float, count: int = FIXTURE_SAMPLE_COUNT,
                       interval_ms: float = FIXTURE_INTERVAL_MS) -> Timeline:
     """Constant-power timeline whose trimmed-window mean is exactly mean_w."""
     samples = tuple(
-        PowerSample(t_ms=i * interval_ms, watts=mean_w, source=source)
+        PowerSample(t_ms=i * interval_ms, watts=mean_w, source="fixture")
         for i in range(count)
     )
-    return Timeline(samples=samples, source=source, interval_ms=interval_ms)
+    return Timeline(samples=samples, source="fixture", interval_ms=interval_ms)
 
 
-def fixture_record(spec: PatternSpec, flop_rate: float,
-                   timeline: Timeline, node_id: str = "recorded",
-                   run_index: int = 0) -> RunRecord:
+def fixture_record(spec: PatternSpec, flop_rate: float, timeline: Timeline) -> RunRecord:
     """RunRecord provenance shell for a recorded fixture timeline."""
     from .gemm import flop_count
 
@@ -123,8 +120,8 @@ def fixture_record(spec: PatternSpec, flop_rate: float,
         checksum=0.0,
         checksum_bits="0" * 16,
         timeline_ids=(f"{timeline.source}-0",),
-        node_id=node_id,
-        run_index=run_index,
+        node_id="recorded",
+        run_index=0,
         measured_start_ms=0.0,
         measured_end_ms=last,
     )

@@ -16,6 +16,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import MISSING, dataclass, field, replace
 from operator import attrgetter
 
@@ -43,11 +44,7 @@ class SweepPlan:
 
 @dataclass(frozen=True)
 class ModelPlan:
-    lanes: int = 1
-    tile_m: int = 1
-    tile_n: int = 1
-    w_mul: float = 1.0
-    w_acc: float = 1.0
+    lanes: int = 1  # the tile is model.schedule_for_lanes(lanes)
     # Run-time guard: scoring costs ~N^3 port cycles per spec, while memory
     # stays O(N^2) plus about two blocks.
     max_n_dim: int = 1024
@@ -88,6 +85,8 @@ class ExperimentManifest:
             )
         if self.repetitions_per_node < 1:
             raise ConfigError("repetitions_per_node must be >= 1")
+        if not 1 <= self.interval_ms < math.inf:  # also rejects nan
+            raise ConfigError(f"interval_ms must be >= 1 and finite, got {self.interval_ms}")
 
     def sweep_levels(self) -> range:
         plan, pattern = self.sweep or SweepPlan(), self.config.pattern
@@ -132,10 +131,6 @@ MANIFEST_KEYS = (
     ("sweep", "level_max", "sweep.level_max", lambda t: int(t) if t else None),
     ("sweep", "value_modes", "sweep.value_modes", decode_list(",", lambda s: ValueMode(s).value)),
     ("model", "lanes", "model.lanes", int),
-    ("model", "tile_m", "model.tile_m", int),
-    ("model", "tile_n", "model.tile_n", int),
-    ("model", "w_mul", "model.w_mul", float),
-    ("model", "w_acc", "model.w_acc", float),
     ("model", "max_n_dim", "model.max_n_dim", int),
 )
 

@@ -10,6 +10,7 @@ wattage itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,7 @@ def schedule_for_lanes(lanes: int) -> Schedule:
     toggles for high-entropy inputs and skews comparisons across patterns).
     """
     tm = 1
-    for cand in range(1, int(lanes ** 0.5) + 1):
+    for cand in range(1, math.isqrt(max(lanes, 0)) + 1):  # lanes < 1: Schedule rejects it
         if lanes % cand == 0:
             tm = cand
     return Schedule(lanes=lanes, tile=(tm, lanes // tm))
@@ -154,27 +155,26 @@ def _boundary_toggles(first: np.ndarray, last: np.ndarray) -> int:
                                 ^ last.view(np.uint64)[:-1]).sum())
 
 
-def _report(flops: int, mul: int, acc: int, w_mul: float, w_acc: float) -> ToggleReport:
+def _report(flops: int, mul: int, acc: int) -> ToggleReport:
     if flops == 0:
         raise ConfigError("empty operand stream")
     return ToggleReport(
         flops=flops,
         mul_input_toggles=mul,
         acc_toggles=acc,
-        score_per_flop=(w_mul * mul + w_acc * acc) / flops,
+        score_per_flop=(mul + acc) / flops,
     )
 
 
-def toggle_score(stream: FmaStream, w_mul: float = 1.0, w_acc: float = 1.0) -> ToggleReport:
+def toggle_score(stream: FmaStream) -> ToggleReport:
     """Cycle-to-cycle toggle totals over the port stream, per FLOP."""
     words = [np.ascontiguousarray(v, dtype=np.float64)
              for v in (stream.a_vals, stream.b_vals, stream.acc_vals)]
     mul = _run_toggles(words[0]) + _run_toggles(words[1])
-    return _report(len(stream), mul, _run_toggles(words[2]), w_mul, w_acc)
+    return _report(len(stream), mul, _run_toggles(words[2]))
 
 
-def score_spec(spec, schedule: Schedule = Schedule(),
-               w_mul: float = 1.0, w_acc: float = 1.0) -> ToggleReport:
+def score_spec(spec, schedule: Schedule = Schedule()) -> ToggleReport:
     """Generate a spec's matrices and score their port stream.
 
     The totals equal toggle_score(operand_stream(pair, schedule)), but the
@@ -247,11 +247,10 @@ def score_spec(spec, schedule: Schedule = Schedule(),
                 first[groups] = words[1]
         last[groups] = words[-1]
     acc += _boundary_toggles(first, last)
-    return _report(n ** 3, mul, acc, w_mul, w_acc)
+    return _report(n ** 3, mul, acc)
 
 
-def predict_ordering(specs, schedule: Schedule = Schedule(),
-                     w_mul: float = 1.0, w_acc: float = 1.0):
+def predict_ordering(specs, schedule: Schedule = Schedule()):
     """Rank specs by descending score_per_flop (ties keep input order).
 
     Intended to be rank-correlated with measured power for a shared N.
@@ -262,7 +261,7 @@ def predict_ordering(specs, schedule: Schedule = Schedule(),
     dims = {s.n_dim for s in specs}
     if len(dims) > 1:
         raise ConfigError(f"all specs must share n_dim, got {sorted(dims)}")
-    scored = [(spec, score_spec(spec, schedule, w_mul, w_acc)) for spec in specs]
+    scored = [(spec, score_spec(spec, schedule)) for spec in specs]
     order = sorted(range(len(scored)),
                    key=lambda idx: (-scored[idx][1].score_per_flop, idx))
     return [scored[idx] for idx in order]

@@ -13,7 +13,7 @@ import csv
 import io
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import FormatError, SourceError
 
@@ -69,9 +69,10 @@ class FilePowerSource:
     Default live path on Cray nodes: /sys/cray/pm_counters/power.
     """
 
-    def __init__(self, path, name: str = "pm_counters"):
+    name = "pm_counters"
+
+    def __init__(self, path):
         self.path = path
-        self.name = name
 
     def read(self) -> float:
         with open(self.path) as fh:
@@ -85,10 +86,11 @@ class EnergyCounterSource:
     gaps, never a fabricated or negative wattage.
     """
 
-    def __init__(self, read_joules, name: str = "energy", scale: float = 1.0):
+    name = "rapl"
+
+    def __init__(self, read_joules, scale: float = 1.0):
         self._read = read_joules
         self._scale = scale  # e.g. 1e-6 for RAPL microjoule counters
-        self.name = name
         self._last: tuple[float, float] | None = None  # (joules, perf seconds)
 
     def read(self) -> float:
@@ -193,17 +195,17 @@ class Sampler:
 class ReplaySampler:
     """A recorded timeline played back as a sampler, in its own time base.
 
-    No thread: stop() returns every recorded sample relabelled with `name`,
-    with the recorded epoch, and the measured window is the recorded span.
+    No thread: stop() returns the recorded timeline, its samples relabelled
+    "replay" and its epoch, interval and gap count kept, and the measured
+    window is the recorded span.
     """
 
-    def __init__(self, timeline: Timeline, interval_ms: float = DEFAULT_INTERVAL_MS,
-                 name: str = "replay"):
-        self.name = name
-        self._timeline = Timeline(
-            samples=tuple(PowerSample(s.t_ms, s.watts, name) for s in timeline.samples),
-            source=name, epoch=timeline.epoch, interval_ms=interval_ms,
-        )
+    name = "replay"
+
+    def __init__(self, timeline: Timeline):
+        self._timeline = replace(
+            timeline, source=self.name,
+            samples=tuple(PowerSample(s.t_ms, s.watts, self.name) for s in timeline.samples))
 
     def start(self) -> None:
         pass

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from entrobench import fixtures
 from entrobench.analysis import (
-    PowerStats,
     aggregate_runs,
     percent_increase,
     pj_per_flop,
@@ -112,10 +111,8 @@ def test_aggregate_spread_warning():
     assert result.spread_warning
 
 
-def test_aggregate_mixes_stats_and_floats():
-    stats = PowerStats(mean_w=250.0, min_w=249.0, max_w=251.0,
-                       sample_count=18, window=(95.0, 1805.0))
-    result = aggregate_runs({"a": [stats, 252.0], "b": []})
+def test_aggregate_skips_nodes_without_runs():
+    result = aggregate_runs({"a": [250.0, 252.0], "b": []})
     assert result.node_means == {"a": 251.0}
     assert result.grand_mean == 251.0
     assert result.max_spread == 0.0

@@ -188,10 +188,17 @@ def test_replay_of_run_with_missing_named_timeline_exits_source(tmp_path, capsys
     ("lanes", "x", "run"),  # [model]
     ("lanes", "x", "sweep"),
     ("lanes", "x", "score"),
+    ("lanes", "-1", "score"),  # checked by the schedule, before scoring
     ("value_modes", "bogus", "sweep"),  # [sweep]
     ("value_modes", "bogus", "score"),
     ("value_modes", "", "sweep"),
     ("trim_fraction", "0.6", "run"),  # [analysis]
+    ("interval_ms", "0.5", "run"),  # [telemetry]: the sampler's 1 ms floor
+    ("interval_ms", "0.5", "sweep"),
+    ("interval_ms", "nan", "run"),
+    ("interval_ms", "nan", "sweep"),
+    ("interval_ms", "inf", "run"),
+    ("interval_ms", "inf", "sweep"),
 ])
 def test_malformed_manifest_value_exits_config(tmp_path, capsys, key, value, command):
     manifest = write_manifest(tmp_path / "m.ini", sweep=SweepPlan())
@@ -204,7 +211,8 @@ def test_malformed_manifest_value_exits_config(tmp_path, capsys, key, value, com
     assert not (tmp_path / "out").exists()  # rejected before any run
 
 
-@pytest.mark.parametrize("section,key", [("gemm", "rep"), ("model", "lane"), ("bogus", "x")])
+@pytest.mark.parametrize("section,key", [("gemm", "rep"), ("model", "lane"), ("bogus", "x"),
+                                         ("model", "tile_m"), ("model", "w_acc")])
 def test_unknown_manifest_key_exits_config(tmp_path, capsys, section, key):
     manifest = write_manifest(tmp_path / "m.ini")
     text = manifest.read_text()
@@ -529,8 +537,11 @@ def test_percent_sign_in_a_manifest_value(tmp_path, via_option):
         assert text == manifest.read_text()
 
 
-def test_seed_override_changes_digest(tmp_path):
+@pytest.mark.parametrize("option", [["--seed", "1"], ["--interval-ms", "5"]])
+def test_removed_options_exit_with_usage_error(tmp_path, capsys, option):
     manifest = write_manifest(tmp_path / "m.ini")
-    out = tmp_path / "out"
-    assert main(["--manifest", str(manifest), "--seed", "99", "run"]) == 0
-    assert "seed = 99" in (out / "manifest").read_text()
+    with pytest.raises(SystemExit) as exc:
+        main(["--manifest", str(manifest), *option, "run"])
+    assert exc.value.code == 2
+    assert "entrobench: error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

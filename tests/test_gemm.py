@@ -54,6 +54,13 @@ def test_alpha_zero_leaves_c():
     np.testing.assert_array_equal(reference_gemm(a, b, c, alpha=0.0, beta=1.0), c)
 
 
+def test_gemm_blocks_start_on_a_cache_line():
+    for shape in ((1, 1), (3, 5), (128, 256)):
+        for _ in range(8):  # several allocations, at different malloc offsets
+            block = gemm._aligned_empty(shape)
+            assert block.shape == shape and block.ctypes.data % 64 == 0
+
+
 def test_dimension_mismatch():
     with pytest.raises(ConfigError):
         reference_gemm(np.zeros((2, 2)), np.zeros((3, 3)), np.zeros((2, 2)))
@@ -243,7 +250,7 @@ def test_replay_keeps_every_sample_and_the_recorded_span():
     config = GemmConfig(pattern=PatternSpec(family="baseline_random", n_dim=2),
                         reps=1, warmup_seconds=0.0)
     for _ in range(50):
-        record, timelines = run_experiment(config, samplers=[ReplaySampler(recorded, 10.0)])
+        record, timelines = run_experiment(config, samplers=[ReplaySampler(recorded)])
         assert [(s.t_ms, s.watts) for s in timelines["replay-0"].samples] == expected
         assert (record.measured_start_ms, record.measured_end_ms) == (0.0, 19990.0)
 

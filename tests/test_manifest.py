@@ -30,7 +30,7 @@ def sample_manifest(reps=5, **overrides):
                           reps=reps, warmup_seconds=0.0),
         sources=("replay:tl.csv",),
         sweep=SweepPlan(level_min=1, level_max=4),
-        model=ModelPlan(lanes=4, w_acc=0.5),
+        model=ModelPlan(lanes=4),
     )
     kw.update(overrides)
     return ExperimentManifest(**kw)
@@ -84,10 +84,6 @@ value_modes = independent,fixed_common
 
 [model]
 lanes = 4
-tile_m = 1
-tile_n = 1
-w_mul = 1.0
-w_acc = 0.5
 max_n_dim = 1024
 
 """

@@ -118,12 +118,11 @@ def test_alternating_operands_toggle_count():
     assert report.score_per_flop == 20 * (n_cycles - 1) / n_cycles
 
 
-def test_toggle_score_weights_are_linear():
-    spec = PatternSpec(family="block_rowcol", n_dim=8, level=1, seed=2)
-    base = score_spec(spec)
-    heavy = score_spec(spec, w_mul=3.0, w_acc=0.5)
-    expected = (3.0 * base.mul_input_toggles + 0.5 * base.acc_toggles) / base.flops
-    assert heavy.score_per_flop == pytest.approx(expected)
+def test_score_per_flop_is_the_unweighted_toggle_sum():
+    report = score_spec(PatternSpec(family="block_rowcol", n_dim=8, level=1, seed=2))
+    assert report.mul_input_toggles > 0 and report.acc_toggles > 0
+    assert report.score_per_flop == \
+        (report.mul_input_toggles + report.acc_toggles) / report.flops
 
 
 def test_empty_stream_rejected():

@@ -129,17 +129,17 @@ def test_timeline_round_trip_property(watts):
 
 def test_replay_source_emitted_verbatim():
     pairs = [(0.0, 238.5), (100.0, 398.2)]
-    sampler = ReplaySampler(make_timeline(pairs, epoch=12.25, interval_ms=50.0), 100.0)
+    sampler = ReplaySampler(make_timeline(pairs, epoch=12.25, interval_ms=50.0, gap_count=3))
     assert sampler.name == "replay"
     sampler.start()
     tl = sampler.stop()
     assert [(s.t_ms, s.watts) for s in tl.samples] == pairs
     assert tl.source == "replay"
     assert {s.source for s in tl.samples} == {"replay"}
-    assert (tl.epoch, tl.interval_ms) == (12.25, 100.0)
+    assert (tl.epoch, tl.interval_ms, tl.gap_count) == (12.25, 50.0, 3)
     # the recorded span is the measured window, whatever the workload took
     assert sampler.window(5.0, 7.5) == (0.0, 100.0)
-    assert ReplaySampler(make_timeline([]), 100.0).window(5.0, 7.5) == (0.0, 2500.0)
+    assert ReplaySampler(make_timeline([])).window(5.0, 7.5) == (0.0, 2500.0)
 
 
 def test_live_sampler_window_is_in_the_timeline_frame():
