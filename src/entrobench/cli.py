@@ -20,8 +20,9 @@ from .manifest import (
     ExperimentManifest,
     load_manifest,
     manifest_digest,
-    manifest_to_text,
+    save_manifest,
 )
+from .patterns import write_file
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -32,9 +33,10 @@ SUMMARY_HEADER = "family,level,value_mode,mean_w,tdp_frac,flop_rate,pj_per_flop_
 SERIES_HEADER = "family,value_mode,level,mean_w,tdp_w,baseline_random_w,baseline_fixed_w"
 SCORE_HEADER = "family,level,value_mode,score_per_flop,mul_toggles,acc_toggles,flops"
 
-# What a run writes into its directory, as globs; a new run first removes them.
+# What a run, or a replay, writes into its directory, as globs; each first removes them.
 RUN_OUTPUTS = ("failed", "manifest", "manifest.sha256", "record.csv", "summary.csv",
                "timeline-*.csv")
+REPLAY_OUTPUTS = ("report.txt", "series-*.csv", "summary.csv")
 
 
 def build_sampler(descriptor: str,
@@ -79,7 +81,7 @@ def _summary_row(record, timelines, plan: AnalysisPlan) -> dict:
 def _write_csv(path, header: str, rows) -> None:
     """Header line, then each row's values encoded and joined by commas; no quoting."""
     lines = [header] + [",".join(records.encode(value, ";") for value in row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_file(path, "\n".join(lines) + "\n")
 
 
 def _write_series(runs, out: Path, plan: AnalysisPlan) -> dict[str, float]:
@@ -115,13 +117,17 @@ def _write_run_dir(run_dir: Path, record, timelines) -> None:
         telemetry.write_timeline(timeline, run_dir / f"timeline-{tid}.csv")
 
 
+def _outputs(directory: Path, globs) -> list[Path]:
+    return [path for name in globs for path in directory.glob(name)]
+
+
 def execute_run(m: ExperimentManifest, run_dir: Path, run_index: int = 0):
     """Run one experiment and persist all artifacts; returns (record, summary row).
 
     What an earlier run left in run_dir is removed first, so the directory
     describes only this run.  A replay source among those files is refused.
     """
-    stale = [path for name in RUN_OUTPUTS for path in run_dir.glob(name)]
+    stale = _outputs(run_dir, RUN_OUTPUTS)
     replayed = {Path(d.partition(":")[2]).resolve() for d in m.sources if d.startswith("replay:")}
     if replayed.intersection(path.resolve() for path in stale):
         raise ConfigError(f"a replay source is an output of {run_dir}, which the run clears")
@@ -131,8 +137,8 @@ def execute_run(m: ExperimentManifest, run_dir: Path, run_index: int = 0):
     phase = "configure"
     try:
         get_backend(m.config.backend_id)
-        (run_dir / "manifest").write_text(manifest_to_text(m))
-        (run_dir / "manifest.sha256").write_text(manifest_digest(m) + "\n")
+        save_manifest(m, run_dir / "manifest")
+        write_file(run_dir / "manifest.sha256", manifest_digest(m) + "\n")
 
         phase = "telemetry-setup"
         samplers = [build_sampler(d, m.interval_ms) for d in m.sources]
@@ -149,8 +155,7 @@ def execute_run(m: ExperimentManifest, run_dir: Path, run_index: int = 0):
         _write_csv(run_dir / "summary.csv", SUMMARY_HEADER, [row.values()])
         return record, row
     except Exception as exc:
-        (run_dir / "failed").write_text(
-            f"phase={phase}\ntype={type(exc).__name__}\nerror={exc}\n")
+        write_file(run_dir / "failed", f"phase={phase}\ntype={type(exc).__name__}\nerror={exc}\n")
         raise
 
 
@@ -225,6 +230,8 @@ def cmd_replay(inputs, out: Path, plan: AnalysisPlan) -> int:
     run_dirs = discover_run_dirs(inputs)
     if not run_dirs:
         raise ConfigError("replay found no run directories (no record.csv)")
+    for path in _outputs(out, REPLAY_OUTPUTS):  # an earlier replay's curves and report
+        path.unlink()
     out.mkdir(parents=True, exist_ok=True)
 
     runs = []
@@ -240,7 +247,7 @@ def cmd_replay(inputs, out: Path, plan: AnalysisPlan) -> int:
     if "baseline_random" in baselines and "baseline_fixed" in baselines:
         pct = analysis.percent_increase(baselines["baseline_random"], baselines["baseline_fixed"])
         line = f"percent_increase={pct:.2f}"
-        (out / "report.txt").write_text(line + "\n")
+        write_file(out / "report.txt", line + "\n")
         print(line)
     return EXIT_OK
 

@@ -198,8 +198,9 @@ def make_subprocess_backend(command: list[str], workdir) -> Backend:
         patterns.dump_matrix(a, workdir / "a.bin")
         patterns.dump_matrix(b, workdir / "b.bin")
         patterns.dump_matrix(c, workdir / "c.bin")
-        (workdir / "input.manifest").write_text(
-            f"n={n}\nalpha={alpha!r}\nbeta={beta!r}\na=a.bin\nb=b.bin\nc=c.bin\n"
+        patterns.write_file(
+            workdir / "input.manifest",
+            f"n={n}\nalpha={alpha!r}\nbeta={beta!r}\na=a.bin\nb=b.bin\nc=c.bin\n",
         )
         proc = subprocess.run(
             [*command, "input.manifest"], cwd=workdir,

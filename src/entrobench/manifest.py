@@ -24,7 +24,7 @@ from . import fixtures
 from .analysis import DEFAULT_TRIM_FRACTION
 from .errors import ConfigError
 from .gemm import GemmConfig
-from .patterns import Family, PatternSpec, ValueMode
+from .patterns import Family, PatternSpec, ValueMode, write_file
 from .records import decode_list, encode
 from .telemetry import DEFAULT_INTERVAL_MS
 
@@ -179,13 +179,12 @@ def manifest_from_text(text: str) -> ExperimentManifest:
 
 
 def load_manifest(path) -> ExperimentManifest:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return manifest_from_text(fh.read())
 
 
 def save_manifest(m: ExperimentManifest, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(manifest_to_text(m))
+    write_file(path, manifest_to_text(m))
 
 
 def manifest_digest(m: ExperimentManifest) -> str:

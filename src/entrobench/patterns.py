@@ -15,6 +15,7 @@ matrix.  All remaining cells are exactly 0.0.
 from __future__ import annotations
 
 import enum
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,12 +191,31 @@ def generate(spec: PatternSpec) -> MatrixPair:
     return MatrixPair(a=a, b=b, spec=spec)
 
 
+def write_file(path, data) -> None:
+    """Write data (bytes-like, or str as UTF-8) to path, rewriting a file in place.
+
+    Every file the toolkit writes goes through here.  An existing file is
+    overwritten and then cut to the new length, never truncated first:
+    truncating frees the file's blocks, which on a file system mounted with
+    `discard` is a synchronous device command per file.
+    """
+    view = memoryview(data.encode("utf-8") if isinstance(data, str) else data).cast("B")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        written = 0
+        while written < view.nbytes:  # os.write may write less than asked
+            written += os.write(fd, view[written:])
+        os.ftruncate(fd, view.nbytes)
+    finally:
+        os.close(fd)
+
+
 def dump_matrix(matrix: np.ndarray, path) -> None:
     """Raw little-endian float64 dump, row-major, no header.
 
     Dimensions are carried by the owning manifest, not the file.
     """
-    np.ascontiguousarray(matrix, dtype="<f8").tofile(path)
+    write_file(path, np.ascontiguousarray(matrix, dtype="<f8"))
 
 
 def load_matrix(path, n_dim: int) -> np.ndarray:

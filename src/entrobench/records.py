@@ -12,7 +12,7 @@ from operator import attrgetter
 
 from .errors import FormatError
 from .gemm import GemmConfig, RunRecord
-from .patterns import Family, PatternSpec, ValueMode
+from .patterns import Family, PatternSpec, ValueMode, write_file
 
 RECORD_SCHEMA = "entrobench-record v1"
 
@@ -90,10 +90,9 @@ def record_from_text(text: str) -> RunRecord:
 
 
 def write_record(record: RunRecord, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(record_to_text(record))
+    write_file(path, record_to_text(record))
 
 
 def read_record(path) -> RunRecord:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return record_from_text(fh.read())

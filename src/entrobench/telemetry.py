@@ -16,6 +16,7 @@ import time
 from dataclasses import dataclass, replace
 
 from .errors import FormatError, SourceError
+from .patterns import write_file
 
 DEFAULT_INTERVAL_MS = 100.0
 MAX_CONSECUTIVE_FAILURES = 10
@@ -245,7 +246,7 @@ def timeline_to_text(timeline: Timeline) -> str:
     out = io.StringIO()
     out.write(
         f"# {TIMELINE_SCHEMA} source={timeline.source} epoch={timeline.epoch!r} "
-        f"interval_ms={timeline.interval_ms!r}\n"
+        f"interval_ms={timeline.interval_ms!r} gap_count={timeline.gap_count}\n"
     )
     out.write(TIMELINE_HEADER + "\n")
     for s in timeline.samples:
@@ -275,6 +276,9 @@ def timeline_from_text(text: str) -> Timeline:
     try:
         epoch = float(meta.get("epoch", 0.0))
         interval_ms = float(meta.get("interval_ms", DEFAULT_INTERVAL_MS))
+        gap_count = int(meta.get("gap_count", 0))  # absent in files written before it was kept
+        if gap_count < 0:
+            raise ValueError(f"gap_count must be nonnegative, got {gap_count}")
     except ValueError as exc:
         raise FormatError(f"timeline line 1: malformed metadata: {exc}") from exc
     return Timeline(
@@ -282,14 +286,14 @@ def timeline_from_text(text: str) -> Timeline:
         source=meta.get("source", "timeline"),
         epoch=epoch,
         interval_ms=interval_ms,
+        gap_count=gap_count,
     )
 
 
 def write_timeline(timeline: Timeline, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(timeline_to_text(timeline))
+    write_file(path, timeline_to_text(timeline))
 
 
 def read_timeline(path) -> Timeline:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return timeline_from_text(fh.read())

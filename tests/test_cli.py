@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import os
 import re
 
 import pytest
@@ -393,6 +394,34 @@ def test_fixtures_then_replay_reproduces_headline(tmp_path, capsys):
     assert len(series) == 15
     assert float(series[-1]["mean_w"]) == pytest.approx(
         256.6622386211853, rel=1e-12)
+
+
+def test_fixtures_over_longer_files_rewrites_them_to_a_fresh_runs_bytes(tmp_path):
+    fx, fresh = tmp_path / "fx", tmp_path / "fresh"
+    assert main(["--out", str(fx), "fixtures"]) == 0
+    for path in fx.glob("*/*"):
+        path.write_bytes(path.read_bytes() + b"stale tail\n")
+        os.utime(path, ns=(0, 0))
+    assert main(["--out", str(fx), "fixtures"]) == 0
+    assert main(["--out", str(fresh), "fixtures"]) == 0
+
+    files = sorted(path.relative_to(fx) for path in fx.glob("*/*"))
+    assert files == sorted(path.relative_to(fresh) for path in fresh.glob("*/*"))
+    assert len(files) == 2 * 122
+    for name in files:
+        assert (fx / name).read_bytes() == (fresh / name).read_bytes()
+        assert (fx / name).stat().st_mtime_ns > 0
+
+
+def test_replay_clears_an_earlier_replays_outputs(tmp_path):
+    fx, rp = tmp_path / "fx", tmp_path / "rp"
+    assert main(["--out", str(fx), "fixtures"]) == 0
+    assert main(["--out", str(rp), "replay", str(fx)]) == 0
+    assert main(["--out", str(rp), "replay",
+                 str(fx / "rec-sparse_diagonal-independent-L03")]) == 0
+    assert sorted(p.name for p in rp.iterdir()) == [
+        "series-sparse_diagonal-independent.csv", "summary.csv"]
+    assert len(read_csv(rp / "summary.csv")) == 1
 
 
 def test_replay_of_a_run_is_idempotent(tmp_path):

@@ -1,16 +1,23 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entrobench
 from entrobench.errors import ConfigError
 from entrobench.patterns import (
     Family,
     PatternSpec,
     ValueMode,
+    dump_matrix,
     generate,
+    load_matrix,
     masks,
     random_fraction,
+    write_file,
 )
 
 from golden_masks import GOLDEN, grid_to_mask
@@ -174,3 +181,50 @@ def test_mask_counts_property(family, log2n, data):
         assert random_fraction(mask_b) == 0.5
     else:
         assert random_fraction(mask_a) == 1.0
+
+
+def test_write_file_over_a_longer_file_leaves_exactly_the_new_bytes(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"a much longer earlier content\n" * 40)
+    write_file(path, "short \u00b5\n")
+    assert path.read_bytes() == "short \u00b5\n".encode("utf-8")
+    write_file(path, b"")
+    assert path.read_bytes() == b""
+
+
+def test_dump_matrix_over_a_larger_matrix_loads_back(tmp_path):
+    path = tmp_path / "m.bin"
+    dump_matrix(np.arange(64.0).reshape(8, 8), path)
+    small = np.arange(16.0).reshape(4, 4).T  # not contiguous: dump_matrix copies
+    dump_matrix(small, path)
+    np.testing.assert_array_equal(load_matrix(path, 4), small)  # its size check sees any tail
+
+
+def _writer_calls(tree):
+    """Lines of calls that write a file other than through write_file."""
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "write_file"
+              for node in ast.walk(fn)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in inside:
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("write_text", "write_bytes", "tofile"):
+            yield node.lineno
+        elif name == "open":
+            if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os":
+                yield node.lineno
+                continue
+            at = 0 if isinstance(func, ast.Attribute) else 1  # path.open(mode), open(path, mode)
+            modes = [k.value for k in node.keywords if k.arg == "mode"] + node.args[at:at + 1]
+            if modes and not (isinstance(modes[0], ast.Constant)
+                              and not set(modes[0].value) & set("wax+")):
+                yield node.lineno
+
+
+def test_every_file_is_written_through_write_file():
+    package = Path(entrobench.__file__).parent
+    found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+             for line in _writer_calls(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []

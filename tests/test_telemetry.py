@@ -79,11 +79,21 @@ def test_timeline_text_round_trip():
     assert timeline_to_text(back) == text
 
 
-def test_timeline_file_round_trip(tmp_path):
-    tl = make_timeline([(0.0, 1.0), (50.0, 2.0)])
+@pytest.mark.parametrize("gap_count", [0, 3])
+def test_timeline_file_round_trip(tmp_path, gap_count):
+    tl = make_timeline([(0.0, 1.0), (50.0, 2.0)], gap_count=gap_count)
     path = tmp_path / "tl.csv"
     write_timeline(tl, path)
     assert read_timeline(path) == tl
+
+
+def test_timeline_without_gap_count_loads_with_zero():
+    tl = timeline_from_text(
+        "# entrobench-timeline v1 source=x epoch=0.0 interval_ms=100.0\n"
+        "t_ms,watts,source\n"
+        "0.0,1.0,x\n"
+    )
+    assert tl.gap_count == 0
 
 
 def test_timeline_text_rejects_unknown_schema_and_dupes():
@@ -103,6 +113,8 @@ def test_timeline_text_rejects_unknown_schema_and_dupes():
     ("epoch=0.0", "20.0,abc,x", "line 4"),  # watts not a number
     ("epoch=0.0", "20.0,1.0", "line 4"),    # source column missing
     ("epoch=abc", "20.0,1.0,x", "line 1"),  # metadata not a number
+    ("gap_count=x", "20.0,1.0,x", "line 1"),   # gap count not an integer
+    ("gap_count=-1", "20.0,1.0,x", "line 1"),  # gap count negative
 ])
 def test_timeline_text_malformed_row_reports_line(meta, row, line):
     tl_text = (
