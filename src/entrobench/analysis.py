@@ -95,11 +95,7 @@ def aggregate_runs(means_by_node) -> AggregateResult:
     """
     if not means_by_node or not any(means_by_node.values()):
         raise InsufficientDataError("aggregate_runs needs at least one run")
-    node_means = {}
-    for node, runs in means_by_node.items():
-        if not runs:
-            continue
-        node_means[node] = sum(runs) / len(runs)
+    node_means = {node: sum(runs) / len(runs) for node, runs in means_by_node.items() if runs}
     grand = sum(node_means.values()) / len(node_means)
     lo, hi = min(node_means.values()), max(node_means.values())
     spread = (hi - lo) / lo if lo > 0 else 0.0

@@ -50,13 +50,9 @@ def build_sampler(descriptor: str,
             raise ConfigError(f"cannot read replay timeline {arg!r}: {exc}") from exc
     if kind == "pm":
         source = telemetry.FilePowerSource(arg or "/sys/cray/pm_counters/power")
-    elif kind == "rapl":
-        path = arg
-
-        def read_uj(path=path):
-            return float(Path(path).read_text().split()[0])
-
-        source = telemetry.EnergyCounterSource(read_uj, scale=1e-6)
+    elif kind == "rapl":  # a microjoule counter file
+        source = telemetry.EnergyCounterSource(
+            lambda: float(Path(arg).read_text().split()[0]), scale=1e-6)
     else:
         raise ConfigError(f"unknown telemetry source descriptor {descriptor!r}")
     return telemetry.Sampler(source, interval_ms=interval_ms)
@@ -121,18 +117,24 @@ def _outputs(directory: Path, globs) -> list[Path]:
     return [path for name in globs for path in directory.glob(name)]
 
 
-def execute_run(m: ExperimentManifest, run_dir: Path, run_index: int = 0):
-    """Run one experiment and persist all artifacts; returns (record, summary row).
+def _point_outputs(point: Path) -> list[Path]:
+    """The run outputs in a point's directory and in its repetitions' run-NNN directories."""
+    return [path for run_dir in (point, *point.glob("run-[0-9][0-9][0-9]"))
+            for path in _outputs(run_dir, RUN_OUTPUTS)]
 
-    What an earlier run left in run_dir is removed first, so the directory
-    describes only this run.  A replay source among those files is refused.
-    """
-    stale = _outputs(run_dir, RUN_OUTPUTS)
+
+def _clear(m: ExperimentManifest, stale) -> None:
+    """Remove an earlier command's outputs, refusing if one is a replay source of m."""
     replayed = {Path(d.partition(":")[2]).resolve() for d in m.sources if d.startswith("replay:")}
-    if replayed.intersection(path.resolve() for path in stale):
-        raise ConfigError(f"a replay source is an output of {run_dir}, which the run clears")
+    clash = replayed.intersection(path.resolve() for path in stale)
+    if clash:
+        raise ConfigError(f"replay source {min(clash)} is an earlier output that this removes")
     for path in stale:
         path.unlink()
+
+
+def execute_run(m: ExperimentManifest, run_dir: Path, run_index: int = 0):
+    """Run one experiment and persist all artifacts; returns (record, summary row)."""
     run_dir.mkdir(parents=True, exist_ok=True)
     phase = "configure"
     try:
@@ -187,11 +189,13 @@ def _run_points(points):
     """Run each (manifest, directory) point's repetitions, trying every run.
 
     A point with several repetitions runs them in run-NNN under its
-    directory.  Returns the (record, summary row) pairs of the runs that
-    succeeded and the errors of those that failed.
+    directory; the point's run outputs are cleared first.  Returns the
+    (record, summary row) pairs of the runs that succeeded and the errors
+    of those that failed.
     """
     runs, errors = [], []
     for m, out in points:
+        _clear(m, _point_outputs(out))
         for rep in range(m.repetitions_per_node):
             run_dir = out / f"run-{rep:03d}" if m.repetitions_per_node > 1 else out
             try:
@@ -216,10 +220,15 @@ def cmd_run(m: ExperimentManifest, out: Path) -> int:
 def cmd_sweep(m: ExperimentManifest, out: Path) -> int:
     if m.config.pattern.is_baseline:
         raise ConfigError("sweep requires a pattern family, not a baseline")
+    specs = m.sweep_specs()  # a bad level range is refused before anything is removed
+    family = m.config.pattern.family.value
+    # Clear every series and every point of the family, so out holds only this sweep's runs.
+    _clear(m, _outputs(out, ["series-*.csv"]) + [
+        path for point in out.glob(f"{family}-*-L*") for path in _point_outputs(point)])
     runs, errors = _run_points(
         (dataclasses.replace(m, config=dataclasses.replace(m.config, pattern=spec), sweep=None),
          out / f"{spec.family.value}-{spec.value_mode.value}-L{spec.level:02d}")
-        for spec in m.sweep_specs())
+        for spec in specs)
     _write_series(runs, out, m.analysis)
     if errors:  # every run ran; the exit code reports the first failure
         raise errors[0]
@@ -260,10 +269,7 @@ def cmd_score(m: ExperimentManifest, out: Path) -> int:
             f"({plan.max_n_dim}): run time grows as N^3 per spec (memory "
             f"only as N^2); raise [model] max_n_dim to override"
         )
-    if m.sweep is not None and not pattern.is_baseline:
-        specs = m.sweep_specs()
-    else:
-        specs = [pattern]
+    specs = m.sweep_specs() if m.sweep is not None and not pattern.is_baseline else [pattern]
 
     ranked = model.predict_ordering(specs, model.schedule_for_lanes(plan.lanes))
     for rank, (spec, report) in enumerate(ranked, start=1):

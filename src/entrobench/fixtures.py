@@ -9,7 +9,7 @@ mean reproduces the recorded wattage exactly.
 
 from __future__ import annotations
 
-from .gemm import GemmConfig, RunRecord
+from .gemm import GemmConfig, RunRecord, flop_count
 from .patterns import Family, PatternSpec, ValueMode
 from .telemetry import PowerSample, Timeline
 
@@ -95,17 +95,12 @@ FIXTURE_INTERVAL_MS = 100.0
 def constant_timeline(mean_w: float, count: int = FIXTURE_SAMPLE_COUNT,
                       interval_ms: float = FIXTURE_INTERVAL_MS) -> Timeline:
     """Constant-power timeline whose trimmed-window mean is exactly mean_w."""
-    samples = tuple(
-        PowerSample(t_ms=i * interval_ms, watts=mean_w, source="fixture")
-        for i in range(count)
-    )
+    samples = tuple(PowerSample(t_ms=i * interval_ms, watts=mean_w) for i in range(count))
     return Timeline(samples=samples, source="fixture", interval_ms=interval_ms)
 
 
 def fixture_record(spec: PatternSpec, flop_rate: float, timeline: Timeline) -> RunRecord:
     """RunRecord provenance shell for a recorded fixture timeline."""
-    from .gemm import flop_count
-
     config = GemmConfig(pattern=spec, reps=GPU_REPS, backend_id="external",
                         warmup_seconds=0.0)
     total = flop_count(spec.n_dim, GPU_REPS)

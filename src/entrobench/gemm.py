@@ -12,6 +12,7 @@ from __future__ import annotations
 import subprocess
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -186,10 +187,9 @@ def make_subprocess_backend(command: list[str], workdir) -> Backend:
     float64, row-major) plus an `input.manifest` key=value file with n,
     alpha, beta, and the file names, then invokes `command input.manifest`.
     The program must exit 0 and leave a `result.manifest` with at least
-    wall_seconds and the output file name (c_out, same raw layout).
+    wall_seconds and the output file name (c_out, same raw layout); the
+    runner deletes result.manifest first, so no call reads an earlier one.
     """
-    from pathlib import Path
-
     workdir = Path(workdir)
 
     def run(a, b, c, alpha, beta):
@@ -202,22 +202,20 @@ def make_subprocess_backend(command: list[str], workdir) -> Backend:
             workdir / "input.manifest",
             f"n={n}\nalpha={alpha!r}\nbeta={beta!r}\na=a.bin\nb=b.bin\nc=c.bin\n",
         )
-        proc = subprocess.run(
-            [*command, "input.manifest"], cwd=workdir,
-            capture_output=True, text=True,
-        )
+        (workdir / "result.manifest").unlink(missing_ok=True)
+        proc = subprocess.run([*command, "input.manifest"], cwd=workdir,
+                              capture_output=True, text=True)
         if proc.returncode != 0:
-            raise SourceError(
-                f"backend command {command} exited {proc.returncode}: {proc.stderr}"
-            )
-        result = {}
-        for line in (workdir / "result.manifest").read_text().splitlines():
-            if "=" in line:
-                key, _, value = line.partition("=")
-                result[key.strip()] = value.strip()
-        if "wall_seconds" not in result:
-            raise SourceError("backend result.manifest is missing wall_seconds")
-        return patterns.load_matrix(workdir / result.get("c_out", "c_out.bin"), n)
+            raise SourceError(f"backend command {command} exited {proc.returncode}: {proc.stderr}")
+        try:
+            lines = (workdir / "result.manifest").read_text(encoding="utf-8").splitlines()
+            pairs = (line.split("=", 1) for line in lines if "=" in line)
+            result = {key.strip(): value.strip() for key, value in pairs}
+            if "wall_seconds" not in result:
+                raise SourceError("backend result.manifest is missing wall_seconds")
+            return patterns.load_matrix(workdir / result.get("c_out", "c_out.bin"), n)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise SourceError(f"backend command {command} left no readable result: {exc}") from exc
 
     return Backend(run=run)
 
@@ -240,7 +238,8 @@ def run_experiment(
     first started sampler's timeline, the one a run's summary analyses.  A
     sampler that fails to start degrades the run to empty timeline_ids with
     a warning flag rather than aborting: power-less runs still carry valid
-    FLOP-rate data.
+    FLOP-rate data.  Every started sampler is stopped, also when the
+    workload raises; the workload's error then wins over a sampler's.
     """
     backend = get_backend(config.backend_id)
     pair: MatrixPair = generate(config.pattern)
@@ -258,22 +257,31 @@ def run_experiment(
     def one_gemm(c):
         return backend.run(pair.a, pair.b, c, config.alpha, config.beta)
 
-    warmup_iters = 0
-    t0 = time.perf_counter()
-    while time.perf_counter() - t0 < config.warmup_seconds:
-        c = one_gemm(c)
-        warmup_iters += 1
-    warmup_elapsed = time.perf_counter() - t0
+    stopped = []  # each started sampler's timeline, or the error its stop() raised
+    try:
+        warmup_iters = 0
+        t0 = time.perf_counter()
+        while time.perf_counter() - t0 < config.warmup_seconds:
+            c = one_gemm(c)
+            warmup_iters += 1
+        warmup_elapsed = time.perf_counter() - t0
 
-    t_start = time.perf_counter()
-    for _ in range(config.reps):
-        c = one_gemm(c)
-    t_end = time.perf_counter()
+        t_start = time.perf_counter()
+        for _ in range(config.reps):
+            c = one_gemm(c)
+        t_end = time.perf_counter()
+    finally:
+        for sampler in started:
+            try:
+                stopped.append(sampler.stop())
+            except Exception as exc:  # noqa: BLE001 - raised below, unless the workload raised
+                stopped.append(exc)
     measured = max(t_end - t_start, 1e-9)
 
     timelines = {}
-    for idx, sampler in enumerate(started):
-        timeline = sampler.stop()
+    for idx, timeline in enumerate(stopped):
+        if isinstance(timeline, Exception):
+            raise timeline
         timelines[f"{timeline.source}-{idx}"] = timeline
     window = started[0].window(t_start, t_end) if started else (0.0, measured * 1000.0)
 

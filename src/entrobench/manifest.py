@@ -49,6 +49,12 @@ class ModelPlan:
     # stays O(N^2) plus about two blocks.
     max_n_dim: int = 1024
 
+    def __post_init__(self):
+        if self.lanes < 1:
+            raise ConfigError(f"lanes must be >= 1, got {self.lanes}")
+        if self.max_n_dim < 2:
+            raise ConfigError(f"max_n_dim must be >= 2, got {self.max_n_dim}")
+
 
 @dataclass(frozen=True)
 class AnalysisPlan:

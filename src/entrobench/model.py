@@ -143,14 +143,14 @@ def operand_stream(pair: MatrixPair, schedule: Schedule = Schedule()) -> FmaStre
                         rows.reshape(-1, lanes), cols.reshape(-1, lanes))
 
 
-def _run_toggles(words: np.ndarray) -> int:
-    """Toggles down axis 0 of a (cycles, runs) array; each column is one run."""
-    w = words.view(np.uint64)
-    return int(np.bitwise_count(w[1:] ^ w[:-1]).sum())
+def _toggles(first: np.ndarray, last: np.ndarray | None = None) -> int:
+    """Toggles from each last[i] to first[i + 1], summed; last defaults to first.
 
-
-def _boundary_toggles(first: np.ndarray, last: np.ndarray) -> int:
-    """Toggles from each lane-group's last word to the next group's first."""
+    On one (cycles, runs) array these are the toggles down axis 0, each
+    column one run; on lane-groups' first and last words, the toggles from
+    each group to the next.
+    """
+    last = first if last is None else last
     return int(np.bitwise_count(first.view(np.uint64)[1:]
                                 ^ last.view(np.uint64)[:-1]).sum())
 
@@ -170,8 +170,8 @@ def toggle_score(stream: FmaStream) -> ToggleReport:
     """Cycle-to-cycle toggle totals over the port stream, per FLOP."""
     words = [np.ascontiguousarray(v, dtype=np.float64)
              for v in (stream.a_vals, stream.b_vals, stream.acc_vals)]
-    mul = _run_toggles(words[0]) + _run_toggles(words[1])
-    return _report(len(stream), mul, _run_toggles(words[2]))
+    mul = _toggles(words[0]) + _toggles(words[1])
+    return _report(len(stream), mul, _toggles(words[2]))
 
 
 def score_spec(spec, schedule: Schedule = Schedule()) -> ToggleReport:
@@ -212,9 +212,9 @@ def score_spec(spec, schedule: Schedule = Schedule()) -> ToggleReport:
             (b2, tile_rows, b2[[0, -1], [0, -1]][:, None])):       # (2, 1, C, g)
         runs = copy.reshape(n * lanes, -1)
         rows = max(1, ACC_BLOCK // runs.shape[1])
-        mul += repeats * sum(_run_toggles(runs[t:t + rows + 1])  # one row overlap
+        mul += repeats * sum(_toggles(runs[t:t + rows + 1])  # one row overlap
                              for t in range(0, len(runs) - 1, rows))
-        mul += _boundary_toggles(*np.broadcast_to(ends, grid).reshape(2, -1))
+        mul += _toggles(*np.broadcast_to(ends, grid).reshape(2, -1))
 
     row_groups = tile_cols * tile_groups  # lane-groups per tile row
     step = max(1, ACC_BLOCK // (tm * n))  # tile rows per block
@@ -246,7 +246,7 @@ def score_spec(spec, schedule: Schedule = Schedule()) -> ToggleReport:
             if k == 0:
                 first[groups] = words[1]
         last[groups] = words[-1]
-    acc += _boundary_toggles(first, last)
+    acc += _toggles(first, last)
     return _report(n ** 3, mul, acc)
 
 
@@ -262,6 +262,4 @@ def predict_ordering(specs, schedule: Schedule = Schedule()):
     if len(dims) > 1:
         raise ConfigError(f"all specs must share n_dim, got {sorted(dims)}")
     scored = [(spec, score_spec(spec, schedule)) for spec in specs]
-    order = sorted(range(len(scored)),
-                   key=lambda idx: (-scored[idx][1].score_per_flop, idx))
-    return [scored[idx] for idx in order]
+    return sorted(scored, key=lambda pair: -pair[1].score_per_flop)  # stable: ties keep order

@@ -114,19 +114,17 @@ def masks(spec: PatternSpec) -> tuple[np.ndarray, np.ndarray]:
     i = np.arange(n)[:, None]
     j = np.arange(n)[None, :]
 
+    if lvl == 0 and spec.family in (Family.BLOCK_ROWCOL, Family.BLOCK_DIAGONAL):
+        full = np.ones((n, n), dtype=bool)
+        return full, full.copy()
+
     if spec.family is Family.BLOCK_ROWCOL:
-        if lvl == 0:
-            full = np.ones((n, n), dtype=bool)
-            return full, full.copy()
         s = n // (1 << lvl)  # stripe height/width
         mask_a = np.broadcast_to((i // s) % 2 == 0, (n, n)).copy()
         mask_b = np.broadcast_to((j // s) % 2 == 0, (n, n)).copy()
         return mask_a, mask_b
 
     if spec.family is Family.BLOCK_DIAGONAL:
-        if lvl == 0:
-            full = np.ones((n, n), dtype=bool)
-            return full, full.copy()
         s = n // (1 << lvl)
         mask_a = (i // s + j // s) % 2 == 0
         return mask_a, ~mask_a

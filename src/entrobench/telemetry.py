@@ -11,44 +11,49 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import threading
 import time
 from dataclasses import dataclass, replace
 
 from .errors import FormatError, SourceError
 from .patterns import write_file
+from .records import encode
 
 DEFAULT_INTERVAL_MS = 100.0
 MAX_CONSECUTIVE_FAILURES = 10
 
 TIMELINE_SCHEMA = "entrobench-timeline v1"
-TIMELINE_HEADER = "t_ms,watts,source"
+TIMELINE_HEADER = "t_ms,watts,source"  # every row's source is the timeline's
+# (key, decode) of the schema comment, in written order; each key is a Timeline field.
+TIMELINE_KEYS = (("source", str), ("epoch", float), ("interval_ms", float), ("gap_count", int))
 
 
 @dataclass(frozen=True)
 class PowerSample:
     t_ms: float
     watts: float
-    source: str
 
     def __post_init__(self):
-        if not (self.t_ms >= 0.0 and self.t_ms == self.t_ms):
+        if not 0.0 <= self.t_ms < math.inf:
             raise FormatError(f"t_ms must be nonnegative and finite, got {self.t_ms}")
-        if not self.watts >= 0.0:
-            raise FormatError(f"watts must be nonnegative, got {self.watts}")
+        if not 0.0 <= self.watts < math.inf:
+            raise FormatError(f"watts must be nonnegative and finite, got {self.watts}")
 
 
 @dataclass(frozen=True)
 class Timeline:
     samples: tuple[PowerSample, ...]
-    source: str
+    source: str = "timeline"  # the label of every sample
     epoch: float = 0.0
     interval_ms: float = DEFAULT_INTERVAL_MS
-    gap_count: int = 0
+    gap_count: int = 0  # polls that yielded no sample
 
     def __post_init__(self):
         if self.interval_ms <= 0:
             raise FormatError(f"interval_ms must be positive, got {self.interval_ms}")
+        if self.gap_count < 0:
+            raise FormatError(f"gap_count must be nonnegative, got {self.gap_count}")
         times = [s.t_ms for s in self.samples]
         for prev, cur in zip(times, times[1:]):
             if cur <= prev:
@@ -143,7 +148,7 @@ def sample_loop(source, interval_ms: float, stop_signal: threading.Event) -> Tim
             consecutive_failures = 0
             t_ms = (time.perf_counter() - epoch) * 1000.0
             if not samples or t_ms > samples[-1].t_ms:
-                samples.append(PowerSample(t_ms=t_ms, watts=watts, source=source.name))
+                samples.append(PowerSample(t_ms=t_ms, watts=watts))
         next_deadline = epoch + tick * interval_ms / 1000.0
         remaining = next_deadline - time.perf_counter()
         if remaining > 0:
@@ -196,17 +201,15 @@ class Sampler:
 class ReplaySampler:
     """A recorded timeline played back as a sampler, in its own time base.
 
-    No thread: stop() returns the recorded timeline, its samples relabelled
-    "replay" and its epoch, interval and gap count kept, and the measured
+    No thread: stop() returns the recorded timeline relabelled "replay",
+    its samples, epoch, interval and gap count kept, and the measured
     window is the recorded span.
     """
 
     name = "replay"
 
     def __init__(self, timeline: Timeline):
-        self._timeline = replace(
-            timeline, source=self.name,
-            samples=tuple(PowerSample(s.t_ms, s.watts, self.name) for s in timeline.samples))
+        self._timeline = replace(timeline, source=self.name)
 
     def start(self) -> None:
         pass
@@ -238,31 +241,31 @@ def parse_pm_counters(text: str) -> PowerSample:
         t_us = int(stamp)
     except ValueError:
         raise FormatError(f"non-numeric pm_counters fields in {text!r}") from None
-    return PowerSample(t_ms=t_us / 1000.0, watts=watts, source="pm_counters")
+    return PowerSample(t_ms=t_us / 1000.0, watts=watts)
 
 
 def timeline_to_text(timeline: Timeline) -> str:
-    """Bit-exact CSV form: schema comment, header, one sample per row."""
+    """Bit-exact CSV form: schema comment with TIMELINE_KEYS, header, one sample per row."""
     out = io.StringIO()
-    out.write(
-        f"# {TIMELINE_SCHEMA} source={timeline.source} epoch={timeline.epoch!r} "
-        f"interval_ms={timeline.interval_ms!r} gap_count={timeline.gap_count}\n"
-    )
-    out.write(TIMELINE_HEADER + "\n")
+    meta = " ".join(f"{key}={encode(getattr(timeline, key), '')}" for key, _ in TIMELINE_KEYS)
+    out.write(f"# {TIMELINE_SCHEMA} {meta}\n{TIMELINE_HEADER}\n")
     for s in timeline.samples:
-        out.write(f"{s.t_ms!r},{s.watts!r},{s.source}\n")
+        out.write(f"{s.t_ms!r},{s.watts!r},{timeline.source}\n")
     return out.getvalue()
 
 
 def timeline_from_text(text: str) -> Timeline:
+    """Inverse of timeline_to_text; a key the header omits takes Timeline's default."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith(f"# {TIMELINE_SCHEMA}"):
         raise FormatError("unrecognized timeline schema version")
-    meta = dict(
-        part.split("=", 1)
-        for part in lines[0][2 + len(TIMELINE_SCHEMA):].split()
-        if "=" in part
-    )
+    meta = dict(part.split("=", 1) for part in lines[0][2 + len(TIMELINE_SCHEMA):].split()
+                if "=" in part)
+    try:
+        header = Timeline(samples=(), **{
+            key: decode(meta[key]) for key, decode in TIMELINE_KEYS if key in meta})
+    except (ValueError, FormatError) as exc:
+        raise FormatError(f"timeline line 1: malformed metadata: {exc}") from exc
     if len(lines) < 2 or lines[1] != TIMELINE_HEADER:
         raise FormatError(f"expected header {TIMELINE_HEADER!r}")
     samples = []
@@ -270,24 +273,12 @@ def timeline_from_text(text: str) -> Timeline:
         if not row:
             continue
         try:
-            samples.append(PowerSample(t_ms=float(row[0]), watts=float(row[1]), source=row[2]))
-        except (IndexError, ValueError) as exc:
-            raise FormatError(f"timeline line {line_no}: malformed row {row!r}") from exc
-    try:
-        epoch = float(meta.get("epoch", 0.0))
-        interval_ms = float(meta.get("interval_ms", DEFAULT_INTERVAL_MS))
-        gap_count = int(meta.get("gap_count", 0))  # absent in files written before it was kept
-        if gap_count < 0:
-            raise ValueError(f"gap_count must be nonnegative, got {gap_count}")
-    except ValueError as exc:
-        raise FormatError(f"timeline line 1: malformed metadata: {exc}") from exc
-    return Timeline(
-        samples=tuple(samples),
-        source=meta.get("source", "timeline"),
-        epoch=epoch,
-        interval_ms=interval_ms,
-        gap_count=gap_count,
-    )
+            samples.append(PowerSample(t_ms=float(row[0]), watts=float(row[1])))
+            if row[2] != header.source:
+                raise FormatError(f"label {row[2]!r} is not the header's {header.source!r}")
+        except (IndexError, ValueError, FormatError) as exc:
+            raise FormatError(f"timeline line {line_no}: malformed row {row!r}: {exc}") from exc
+    return replace(header, samples=tuple(samples))
 
 
 def write_timeline(timeline: Timeline, path) -> None:

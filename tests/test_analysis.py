@@ -17,7 +17,7 @@ from entrobench.telemetry import PowerSample, Timeline
 
 def ramp_timeline(values, interval_ms=100.0):
     samples = tuple(
-        PowerSample(t_ms=i * interval_ms, watts=w, source="t")
+        PowerSample(t_ms=i * interval_ms, watts=w)
         for i, w in enumerate(values)
     )
     return Timeline(samples=samples, source="t", interval_ms=interval_ms)

@@ -189,7 +189,7 @@ def test_replay_of_run_with_missing_named_timeline_exits_source(tmp_path, capsys
     ("lanes", "x", "run"),  # [model]
     ("lanes", "x", "sweep"),
     ("lanes", "x", "score"),
-    ("lanes", "-1", "score"),  # checked by the schedule, before scoring
+    ("lanes", "-1", "score"),
     ("value_modes", "bogus", "sweep"),  # [sweep]
     ("value_modes", "bogus", "score"),
     ("value_modes", "", "sweep"),
@@ -200,6 +200,11 @@ def test_replay_of_run_with_missing_named_timeline_exits_source(tmp_path, capsys
     ("interval_ms", "nan", "sweep"),
     ("interval_ms", "inf", "run"),
     ("interval_ms", "inf", "sweep"),
+    ("lanes", "0", "run"),  # checked by ModelPlan at load
+    ("lanes", "0", "sweep"),
+    ("lanes", "0", "score"),
+    ("max_n_dim", "-5", "run"),
+    ("max_n_dim", "1", "score"),
 ])
 def test_malformed_manifest_value_exits_config(tmp_path, capsys, key, value, command):
     manifest = write_manifest(tmp_path / "m.ini", sweep=SweepPlan())
@@ -259,6 +264,70 @@ def test_run_refuses_to_clear_its_own_replay_source(tmp_path):
     again = write_manifest(tmp_path / "b.ini", sources=(f"replay:{own}",))
     assert main(["--manifest", str(again), "run"]) == 2
     assert sorted(p.name for p in out.iterdir()) == before
+
+
+@pytest.mark.parametrize("first,second", [(1, 2), (2, 1)])
+def test_run_clears_the_runs_of_an_earlier_repetition_count(tmp_path, first, second):
+    tl = tmp_path / "recorded.csv"
+    write_replay_timeline(tl)
+    out = tmp_path / "out"
+    for reps in (first, second):
+        manifest = write_manifest(tmp_path / f"m{reps}.ini", sources=(f"replay:{tl}",),
+                                  repetitions_per_node=reps)
+        assert main(["--manifest", str(manifest), "run"]) == 0
+    assert len(list(out.glob("**/record.csv"))) == second
+    assert main(["--out", str(tmp_path / "rp"), "replay", str(out)]) == 0
+    assert len(read_csv(tmp_path / "rp" / "summary.csv")) == second
+
+
+def test_run_refuses_to_clear_a_replay_source_in_a_repetitions_directory(tmp_path):
+    tl = tmp_path / "recorded.csv"
+    write_replay_timeline(tl)
+    out = tmp_path / "out"
+    first = write_manifest(tmp_path / "a.ini", sources=(f"replay:{tl}",), repetitions_per_node=2)
+    assert main(["--manifest", str(first), "run"]) == 0
+    before = sorted(out.glob("**/*"))
+    own = out / "run-001" / "timeline-replay-0.csv"
+    again = write_manifest(tmp_path / "b.ini", sources=(f"replay:{own}",))
+    assert main(["--manifest", str(again), "run"]) == 2
+    assert sorted(out.glob("**/*")) == before
+
+
+def test_sweep_clears_the_points_and_series_of_an_earlier_sweep(tmp_path):
+    tl = tmp_path / "recorded.csv"
+    write_replay_timeline(tl)
+    out = tmp_path / "out"
+    wide = write_manifest(tmp_path / "wide.ini", sources=(f"replay:{tl}",),
+                          sweep=SweepPlan(level_min=0, level_max=3))
+    narrow = write_manifest(tmp_path / "narrow.ini", sources=(f"replay:{tl}",),
+                            sweep=SweepPlan(level_min=1, level_max=2,
+                                            value_modes=("independent",)))
+    assert main(["--manifest", str(wide), "sweep"]) == 0
+    assert main(["--manifest", str(narrow), "sweep"]) == 0
+    assert [p.name for p in out.glob("series-*.csv")] == ["series-block_rowcol-independent.csv"]
+    assert sorted(p.parent.name for p in out.glob("*/record.csv")) == [
+        "block_rowcol-independent-L01", "block_rowcol-independent-L02"]
+    assert sorted(p.name for p in out.glob("*/*")) == sorted(
+        ["manifest", "manifest.sha256", "record.csv", "summary.csv",
+         "timeline-replay-0.csv"] * 2)
+    assert main(["--out", str(tmp_path / "rp"), "replay", str(out)]) == 0
+    assert len(read_csv(tmp_path / "rp" / "summary.csv")) == 2
+
+
+def test_sweep_refuses_to_clear_a_replay_source_in_a_point_it_does_not_run(tmp_path):
+    tl = tmp_path / "recorded.csv"
+    write_replay_timeline(tl)
+    out = tmp_path / "out"
+    first = write_manifest(tmp_path / "a.ini", sources=(f"replay:{tl}",),
+                           sweep=SweepPlan(level_min=0, level_max=1))
+    assert main(["--manifest", str(first), "sweep"]) == 0
+    before = sorted(out.glob("**/*"))
+    own = out / "block_rowcol-fixed_common-L00" / "timeline-replay-0.csv"
+    again = write_manifest(tmp_path / "b.ini", sources=(f"replay:{own}",),
+                           sweep=SweepPlan(level_min=1, level_max=1,
+                                           value_modes=("independent",)))
+    assert main(["--manifest", str(again), "sweep"]) == 2
+    assert sorted(out.glob("**/*")) == before
 
 
 def test_sweep_runs_all_levels_and_modes(tmp_path):

@@ -1,10 +1,11 @@
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 from entrobench import gemm
-from entrobench.errors import ConfigError
+from entrobench.errors import ConfigError, SourceError
 from entrobench.gemm import (
     GemmConfig,
     checksum,
@@ -16,7 +17,7 @@ from entrobench.gemm import (
     run_experiment,
 )
 from entrobench.patterns import PatternSpec
-from entrobench.telemetry import PowerSample, ReplaySampler, Timeline
+from entrobench.telemetry import PowerSample, ReplaySampler, Sampler, Timeline
 
 
 def naive_gemm(a, b, c, alpha, beta):
@@ -240,9 +241,51 @@ def test_failed_sampler_degrades_with_warning():
     assert any("broken" in w for w in record.warnings)
 
 
+class ConstantSource:
+    name = "const"
+
+    def read(self) -> float:
+        return 250.0
+
+
+class FailingStopSampler(Sampler):
+    def stop(self):
+        super().stop()
+        raise SourceError("sampler lost")
+
+
+@pytest.mark.parametrize("warmup_seconds", [0.0, 0.01])  # timed loop, warm-up
+@pytest.mark.parametrize("sampler_type", [Sampler, FailingStopSampler])
+def test_failed_run_stops_its_samplers_and_raises_the_workloads_error(
+        monkeypatch, warmup_seconds, sampler_type):
+    def failing(a, b, c, alpha, beta):
+        raise RuntimeError("backend lost")
+
+    monkeypatch.setitem(gemm._BACKENDS, "test-failing", gemm.Backend(run=failing))
+    config = GemmConfig(pattern=PatternSpec(family="baseline_fixed", n_dim=4), reps=1,
+                        backend_id="test-failing", warmup_seconds=warmup_seconds)
+    before = threading.active_count()
+    for _ in range(3):
+        samplers = [sampler_type(ConstantSource(), interval_ms=1.0) for _ in range(2)]
+        with pytest.raises(RuntimeError, match="backend lost"):
+            run_experiment(config, samplers=samplers)
+    assert threading.active_count() == before
+
+
+def test_every_sampler_stops_before_a_samplers_error_is_raised():
+    config = GemmConfig(pattern=PatternSpec(family="baseline_fixed", n_dim=4), reps=1,
+                        warmup_seconds=0.0)
+    before = threading.active_count()
+    samplers = [FailingStopSampler(ConstantSource(), interval_ms=1.0),
+                Sampler(ConstantSource(), interval_ms=1.0)]
+    with pytest.raises(SourceError, match="sampler lost"):
+        run_experiment(config, samplers=samplers)
+    assert threading.active_count() == before
+
+
 def test_replay_keeps_every_sample_and_the_recorded_span():
     recorded = Timeline(
-        samples=tuple(PowerSample(t_ms=10.0 * i, watts=300.0 + i % 7, source="fixture")
+        samples=tuple(PowerSample(t_ms=10.0 * i, watts=300.0 + i % 7)
                       for i in range(2000)),
         source="fixture", epoch=3.5, interval_ms=10.0,
     )
@@ -281,3 +324,24 @@ def test_subprocess_backend_protocol(tmp_path):
     a, b, c = rng.random((8, 8)), rng.random((8, 8)), rng.random((8, 8))
     out = backend.run(a, b, c, 1.5, 0.25)
     np.testing.assert_allclose(out, 1.5 * (a @ b) + 0.25 * c, rtol=1e-12)
+
+
+@pytest.mark.parametrize("script", [
+    "",  # exits 0 and writes nothing
+    "open('result.manifest', 'wb').write(b'wall_seconds=\\xff\\n')",  # not UTF-8
+    "open('result.manifest', 'w').write('wall_seconds=0.1\\nc_out=none.bin\\n')",
+])
+def test_subprocess_backend_without_a_readable_result_is_a_source_error(tmp_path, script):
+    good = tmp_path / "good.py"
+    good.write_text(BACKEND_SCRIPT)
+    bad = tmp_path / "bad.py"
+    bad.write_text(script)
+    a = np.eye(4)
+    # a good call first, so a result of an earlier call is in the work directory
+    make_subprocess_backend([sys.executable, str(good)], tmp_path / "work").run(a, a, a, 1.0, 1.0)
+    backend = make_subprocess_backend([sys.executable, str(bad)], tmp_path / "work")
+    with pytest.raises(SourceError, match="no readable result"):
+        backend.run(a, a, a, 1.0, 1.0)
+    fresh = make_subprocess_backend([sys.executable, str(bad)], tmp_path / "fresh")
+    with pytest.raises(SourceError, match="no readable result"):
+        fresh.run(a, a, a, 1.0, 1.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import threading
 import time
@@ -8,10 +9,12 @@ from hypothesis import strategies as st
 
 from entrobench.errors import FormatError, SourceError
 from entrobench.telemetry import (
+    TIMELINE_KEYS,
     EnergyCounterSource,
     PowerSample,
     ReplaySampler,
     Sampler,
+    SourceGap,
     Timeline,
     parse_pm_counters,
     read_timeline,
@@ -36,7 +39,6 @@ def test_parse_pm_counters():
     sample = parse_pm_counters("158 W 1663632013291527")
     assert sample.watts == 158.0
     assert sample.t_ms == 1663632013291527 / 1000.0
-    assert sample.source == "pm_counters"
 
 
 def test_parse_pm_counters_rejects_energy_unit():
@@ -50,21 +52,21 @@ def test_parse_pm_counters_rejects_energy_unit():
 
 def test_sample_rejects_negative():
     with pytest.raises(FormatError):
-        PowerSample(t_ms=-1.0, watts=1.0, source="x")
+        PowerSample(t_ms=-1.0, watts=1.0)
     with pytest.raises(FormatError):
-        PowerSample(t_ms=0.0, watts=-1.0, source="x")
+        PowerSample(t_ms=0.0, watts=-1.0)
 
 
 def test_timeline_rejects_nonmonotone():
-    good = PowerSample(t_ms=0.0, watts=1.0, source="x")
-    bad = PowerSample(t_ms=0.0, watts=2.0, source="x")
+    good = PowerSample(t_ms=0.0, watts=1.0)
+    bad = PowerSample(t_ms=0.0, watts=2.0)
     with pytest.raises(FormatError):
         Timeline(samples=(good, bad), source="x")
 
 
 def make_timeline(pairs, **kw):
     return Timeline(
-        samples=tuple(PowerSample(t_ms=t, watts=w, source="x") for t, w in pairs),
+        samples=tuple(PowerSample(t_ms=t, watts=w) for t, w in pairs),
         source="x",
         **kw,
     )
@@ -128,6 +130,77 @@ def test_timeline_text_malformed_row_reports_line(meta, row, line):
     assert line in str(err.value)
 
 
+# Written by the implementation that stored a label in every sample; the bytes must not change.
+PINNED_TIMELINE_TEXT = (
+    "# entrobench-timeline v1 source=pm_counters epoch=12345.678901234 interval_ms=10.0 "
+    "gap_count=2\n"
+    "t_ms,watts,source\n"
+    "0.0,238.5,pm_counters\n"
+    "1e-05,0.1,pm_counters\n"
+    "200.5,1e-07,pm_counters\n"
+)
+
+
+def test_timeline_text_is_pinned():
+    tl = Timeline(samples=(PowerSample(0.0, 238.5), PowerSample(1e-05, 0.1),
+                           PowerSample(200.5, 1e-07)),
+                  source="pm_counters", epoch=12345.678901234, interval_ms=10.0, gap_count=2)
+    assert timeline_to_text(tl) == PINNED_TIMELINE_TEXT
+    assert timeline_from_text(PINNED_TIMELINE_TEXT) == tl
+
+
+def test_timeline_keys_name_every_timeline_field_but_the_samples_in_written_order():
+    fields = [f.name for f in dataclasses.fields(Timeline)]
+    assert [key for key, _ in TIMELINE_KEYS] == [name for name in fields if name != "samples"]
+    header = timeline_to_text(make_timeline([])).splitlines()[0]
+    assert [part.split("=")[0] for part in header.split()[3:]] == [k for k, _ in TIMELINE_KEYS]
+
+
+def test_timeline_header_without_keys_loads_with_the_timeline_defaults():
+    tl = timeline_from_text("# entrobench-timeline v1\nt_ms,watts,source\n0.0,1.0,timeline\n")
+    assert tl == Timeline(samples=(PowerSample(0.0, 1.0),))
+
+
+@pytest.mark.parametrize("meta,rows,line", [
+    ("source=x", "10.0,1.0,x\n20.0,1.0,y", "line 4"),  # label differs from the header's
+    ("", "10.0,1.0,timeline\n20.0,1.0,x", "line 4"),   # no source key: the label is "timeline"
+    ("source=x", "10.0,1.0,x\n20.0,inf,x", "line 4"),  # watts not finite
+    ("source=x", "nan,1.0,x", "line 3"),                # t_ms not finite
+    ("source=x interval_ms=0", "10.0,1.0,x", "line 1"),
+    ("source=x interval_ms=-1.0", "10.0,1.0,x", "line 1"),
+])
+def test_timeline_text_refusals_name_their_line(meta, rows, line):
+    with pytest.raises(FormatError) as err:
+        timeline_from_text(f"# entrobench-timeline v1 {meta}\nt_ms,watts,source\n{rows}\n")
+    assert line in str(err.value)
+
+
+@pytest.mark.parametrize("t_ms,watts", [
+    (float("inf"), 1.0), (0.0, float("inf")), (float("nan"), 1.0), (0.0, float("nan"))])
+def test_sample_rejects_non_finite(t_ms, watts):
+    with pytest.raises(FormatError, match="finite"):
+        PowerSample(t_ms=t_ms, watts=watts)
+
+
+def test_non_finite_pm_counters_readings_are_counted_gaps(tmp_path):
+    texts = iter(["inf W 1", "200 W 2", "nan W 3", "210 W 4"])
+    stop = threading.Event()
+
+    class Readings:
+        name = "pm_counters"
+
+        def read(self):
+            text = next(texts, None)
+            if text is None:
+                stop.set()
+                raise SourceGap("done")
+            return parse_pm_counters(text).watts
+
+    tl = sample_loop(Readings(), 1.0, stop)
+    assert [s.watts for s in tl.samples] == [200.0, 210.0]
+    assert tl.gap_count == 3  # two refused readings, then the poll that stops the loop
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.lists(st.floats(min_value=0.0, max_value=1e4,
@@ -147,7 +220,6 @@ def test_replay_source_emitted_verbatim():
     tl = sampler.stop()
     assert [(s.t_ms, s.watts) for s in tl.samples] == pairs
     assert tl.source == "replay"
-    assert {s.source for s in tl.samples} == {"replay"}
     assert (tl.epoch, tl.interval_ms, tl.gap_count) == (12.25, 50.0, 3)
     # the recorded span is the measured window, whatever the workload took
     assert sampler.window(5.0, 7.5) == (0.0, 100.0)
