@@ -47,7 +47,7 @@ def steady_state_window(
         raise ConfigError(f"trim_fraction must be in [0, 0.5), got {trim_fraction}")
     start, end = record.measured_start_ms, record.measured_end_ms
     if end <= start:
-        raise ConfigError(f"degenerate measured window [{start}, {end}]")
+        raise InsufficientDataError(f"degenerate measured window [{start}, {end}]")
     span = end - start
     lo = start + trim_fraction * span
     hi = end - trim_fraction * span

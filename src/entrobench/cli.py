@@ -50,9 +50,8 @@ def build_sampler(descriptor: str,
             raise ConfigError(f"cannot read replay timeline {arg!r}: {exc}") from exc
     if kind == "pm":
         source = telemetry.FilePowerSource(arg or "/sys/cray/pm_counters/power")
-    elif kind == "rapl":  # a microjoule counter file
-        source = telemetry.EnergyCounterSource(
-            lambda: float(Path(arg).read_text().split()[0]), scale=1e-6)
+    elif kind == "rapl":
+        source = telemetry.EnergyCounterSource(arg)
     else:
         raise ConfigError(f"unknown telemetry source descriptor {descriptor!r}")
     return telemetry.Sampler(source, interval_ms=interval_ms)
@@ -175,14 +174,8 @@ def _load_run_dir(run_dir: Path):
 
 
 def discover_run_dirs(paths) -> list[Path]:
-    found = []
-    for path in paths:
-        path = Path(path)
-        if (path / "record.csv").exists():
-            found.append(path)
-        else:
-            found.extend(p.parent for p in sorted(path.glob("**/record.csv")))
-    return sorted(set(found))
+    """Every directory at or below each path that holds a record.csv."""
+    return sorted({record.parent for path in paths for record in Path(path).glob("**/record.csv")})
 
 
 def _run_points(points):

@@ -10,7 +10,7 @@ import enum
 import io
 from operator import attrgetter
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 from .gemm import GemmConfig, RunRecord
 from .patterns import Family, PatternSpec, ValueMode, write_file
 
@@ -85,7 +85,8 @@ def record_from_text(text: str) -> RunRecord:
             parts[part][name] = decode(rows[0][column])
         config = GemmConfig(pattern=PatternSpec(**parts["config.pattern"]), **parts["config"])
         return RunRecord(config=config, **parts[""])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # a short row reads None
+    # A short row reads None; a value PatternSpec or GemmConfig refuses is malformed too.
+    except (AttributeError, ConfigError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed record file: {exc}") from exc
 
 

@@ -1,8 +1,9 @@
 """Power telemetry collection and parsing.
 
 Timelines are ordered (t_ms, watts) samples from one source: a Cray-style
-pm_counters file, a RAPL-style energy counter (power derived by finite
-differences), or a replay file.
+pm_counters file, a RAPL-style microjoule counter file (power derived by
+finite differences), or a replay file.  A live source's read() returns
+watts, or None for a poll that gave no reading.
 Samples are taken at face value; no smoothing, and parsers never invent
 samples for gaps.
 """
@@ -50,8 +51,8 @@ class Timeline:
     gap_count: int = 0  # polls that yielded no sample
 
     def __post_init__(self):
-        if self.interval_ms <= 0:
-            raise FormatError(f"interval_ms must be positive, got {self.interval_ms}")
+        if not 0 < self.interval_ms < math.inf:
+            raise FormatError(f"interval_ms must be positive and finite, got {self.interval_ms}")
         if self.gap_count < 0:
             raise FormatError(f"gap_count must be nonnegative, got {self.gap_count}")
         times = [s.t_ms for s in self.samples]
@@ -63,10 +64,6 @@ class Timeline:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-
-class SourceGap(Exception):
-    """One unreadable poll; recorded as a missing sample, not a value."""
 
 
 class FilePowerSource:
@@ -86,41 +83,38 @@ class FilePowerSource:
 
 
 class EnergyCounterSource:
-    """Monotone energy counter (joules); power by finite difference.
+    """A monotone microjoule counter file, as powercap's energy_uj; power by finite difference.
 
-    The first read and any counter wrap (value decreasing) yield flagged
-    gaps, never a fabricated or negative wattage.
+    Each poll reads the file's first whitespace token.  The first read, a
+    counter wrap (value decreasing) and a clock that has not advanced give
+    None, never a fabricated or negative wattage.
     """
 
     name = "rapl"
 
-    def __init__(self, read_joules, scale: float = 1.0):
-        self._read = read_joules
-        self._scale = scale  # e.g. 1e-6 for RAPL microjoule counters
+    def __init__(self, path):
+        self.path = path
         self._last: tuple[float, float] | None = None  # (joules, perf seconds)
 
-    def read(self) -> float:
-        joules = float(self._read()) * self._scale
+    def read(self) -> float | None:
+        with open(self.path) as fh:
+            joules = float(fh.read().split()[0]) * 1e-6
         now = time.perf_counter()
-        last = self._last
-        self._last = (joules, now)
-        if last is None:
-            raise SourceGap("first counter read establishes the baseline")
-        if joules < last[0]:
-            raise SourceGap("energy counter wrapped")
-        dt = now - last[1]
-        if dt <= 0:
-            raise SourceGap("non-advancing clock between counter reads")
-        return (joules - last[0]) / dt
+        last, self._last = self._last, (joules, now)
+        if last is None or joules < last[0] or now <= last[1]:
+            return None
+        return (joules - last[0]) / (now - last[1])
 
 
 def sample_loop(source, interval_ms: float, stop_signal: threading.Event) -> Timeline:
     """Poll a source at a nominal interval until stop_signal fires.
 
     Actual timestamps are recorded (jitter preserved) in ms since the
-    loop's own perf_counter epoch, which the timeline carries.  Read
-    failures are recorded as gaps; more than MAX_CONSECUTIVE_FAILURES in a
-    row aborts with a SourceError.
+    loop's own perf_counter epoch, which the timeline carries.  A read of
+    None is a gap.  A read that raises, or whose value is no valid sample
+    (negative, inf, nan), is a gap and a failure; any read that returns
+    otherwise ends a run of failures, and more than MAX_CONSECUTIVE_FAILURES
+    in a row abort with a SourceError.
     """
     if interval_ms < 1:
         raise FormatError(f"interval_ms must be >= 1, got {interval_ms}")
@@ -134,8 +128,13 @@ def sample_loop(source, interval_ms: float, stop_signal: threading.Event) -> Tim
         tick += 1
         try:
             watts = source.read()
-        except SourceGap:
-            gaps += 1
+            if watts is None:
+                gaps += 1
+            else:
+                sample = PowerSample(t_ms=(time.perf_counter() - epoch) * 1000.0, watts=watts)
+                if not samples or sample.t_ms > samples[-1].t_ms:
+                    samples.append(sample)
+            consecutive_failures = 0
         except Exception as exc:  # noqa: BLE001 - counted, then surfaced
             gaps += 1
             consecutive_failures += 1
@@ -144,11 +143,6 @@ def sample_loop(source, interval_ms: float, stop_signal: threading.Event) -> Tim
                     f"source {source.name} failed {consecutive_failures} "
                     f"consecutive reads: {exc}"
                 ) from exc
-        else:
-            consecutive_failures = 0
-            t_ms = (time.perf_counter() - epoch) * 1000.0
-            if not samples or t_ms > samples[-1].t_ms:
-                samples.append(PowerSample(t_ms=t_ms, watts=watts))
         next_deadline = epoch + tick * interval_ms / 1000.0
         remaining = next_deadline - time.perf_counter()
         if remaining > 0:
@@ -168,11 +162,10 @@ class Sampler:
     def __init__(self, source, interval_ms: float = DEFAULT_INTERVAL_MS):
         self.source = source
         self.interval_ms = interval_ms
-        self.name = getattr(source, "name", "source")
+        self.name = source.name
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
-        self._timeline: Timeline | None = None
-        self._error: Exception | None = None
+        self._outcome: Timeline | Exception | None = None  # what sample_loop returned or raised
 
     def start(self) -> None:
         self._thread = threading.Thread(target=self._run, daemon=True)
@@ -180,21 +173,20 @@ class Sampler:
 
     def _run(self) -> None:
         try:
-            self._timeline = sample_loop(self.source, self.interval_ms, self._stop)
+            self._outcome = sample_loop(self.source, self.interval_ms, self._stop)
         except Exception as exc:  # noqa: BLE001 - reraised in stop()
-            self._error = exc
+            self._outcome = exc
 
     def stop(self) -> Timeline:
         self._stop.set()
         if self._thread is not None:
             self._thread.join()
-        if self._error is not None:
-            raise self._error
-        assert self._timeline is not None
-        return self._timeline
+        if isinstance(self._outcome, Exception):
+            raise self._outcome
+        return self._outcome
 
     def window(self, t_start: float, t_end: float) -> tuple[float, float]:
-        epoch = self._timeline.epoch
+        epoch = self._outcome.epoch
         return (t_start - epoch) * 1000.0, (t_end - epoch) * 1000.0
 
 

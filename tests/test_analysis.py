@@ -59,7 +59,7 @@ def test_steady_state_rejects_bad_inputs():
     with pytest.raises(ConfigError):
         steady_state_window(ramp_timeline([1.0] * 12), make_record(1100.0),
                             trim_fraction=0.5)
-    with pytest.raises(ConfigError):
+    with pytest.raises(InsufficientDataError):
         steady_state_window(ramp_timeline([1.0] * 12), make_record(0.0))
 
 

@@ -588,6 +588,63 @@ def test_replay_with_no_runs_exits_config(tmp_path):
     assert main(["--out", str(tmp_path / "rp"), "replay", str(empty)]) == 2
 
 
+def test_replay_finds_the_runs_below_a_run_directory(tmp_path):
+    tl = tmp_path / "recorded.csv"
+    write_replay_timeline(tl)
+    manifest = write_manifest(
+        tmp_path / "m.ini", pattern=PatternSpec(family="block_rowcol", n_dim=4, level=1, seed=3),
+        sources=(f"replay:{tl}",))
+    assert main(["--manifest", str(manifest), "run"]) == 0
+    assert main(["--manifest", str(manifest), "sweep"]) == 0  # 6 points below the run
+    rp = tmp_path / "rp"
+    assert main(["--out", str(rp), "replay", str(tmp_path / "out")]) == 0
+    assert len(read_csv(rp / "summary.csv")) == 7
+    assert sorted(p.name for p in rp.glob("series-*.csv")) == [
+        "series-block_rowcol-fixed_common.csv", "series-block_rowcol-independent.csv"]
+
+
+def test_run_of_a_one_sample_replay_exits_insufficient_data(tmp_path, capsys):
+    tl = tmp_path / "recorded.csv"
+    telemetry.write_timeline(fixtures.constant_timeline(300.0, count=1), tl)
+    manifest = write_manifest(tmp_path / "m.ini", sources=(f"replay:{tl}",))
+    assert main(["--manifest", str(manifest), "run"]) == 4
+    assert "degenerate measured window" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column,value", [("n", "3"), ("reps", "0")])
+def test_replay_of_a_record_value_the_config_refuses_exits_source(tmp_path, capsys,
+                                                                   column, value):
+    tl = tmp_path / "recorded.csv"
+    write_replay_timeline(tl)
+    manifest = write_manifest(tmp_path / "m.ini", sources=(f"replay:{tl}",))
+    assert main(["--manifest", str(manifest), "run"]) == 0
+    path = tmp_path / "out" / "record.csv"
+    schema, header, row = path.read_text().splitlines()
+    values = next(csv.reader([row]))
+    values[header.split(",").index(column)] = value
+    path.write_text(f"{schema}\n{header}\n{','.join(values)}\n")
+    assert main(["--out", str(tmp_path / "rp"), "replay", str(tmp_path / "out")]) == 3
+    assert "malformed record file" in capsys.readouterr().err
+
+
+def test_run_samples_live_pm_and_rapl_files(tmp_path):
+    pm, rapl = tmp_path / "power", tmp_path / "energy_uj"
+    pm.write_text("217.25 W 1663632013291527\n")
+    rapl.write_text("123456789\n")  # a counter that does not move: 0 W
+    pattern = PatternSpec(family="block_rowcol", n_dim=64, level=1, seed=3)
+    manifest = write_manifest(
+        tmp_path / "m.ini", sources=(f"pm:{pm}", f"rapl:{rapl}"), interval_ms=1.0,
+        config=GemmConfig(pattern, reps=200, backend_id="reference", warmup_seconds=0.0))
+    assert main(["--manifest", str(manifest), "run"]) == 0
+    out = tmp_path / "out"
+    pm_timeline = telemetry.read_timeline(out / "timeline-pm_counters-0.csv")
+    rapl_timeline = telemetry.read_timeline(out / "timeline-rapl-1.csv")
+    assert pm_timeline.samples and all(s.watts == 217.25 for s in pm_timeline.samples)
+    assert rapl_timeline.samples and all(s.watts == 0.0 for s in rapl_timeline.samples)
+    assert rapl_timeline.gap_count >= 1  # the first read only sets the baseline
+    assert float(read_csv(out / "summary.csv")[0]["mean_w"]) == 217.25
+
+
 def test_score_writes_ranked_csv(tmp_path, capsys):
     manifest = write_manifest(
         tmp_path / "m.ini",

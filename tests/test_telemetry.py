@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import threading
 import time
 
@@ -14,7 +15,6 @@ from entrobench.telemetry import (
     PowerSample,
     ReplaySampler,
     Sampler,
-    SourceGap,
     Timeline,
     parse_pm_counters,
     read_timeline,
@@ -168,6 +168,8 @@ def test_timeline_header_without_keys_loads_with_the_timeline_defaults():
     ("source=x", "nan,1.0,x", "line 3"),                # t_ms not finite
     ("source=x interval_ms=0", "10.0,1.0,x", "line 1"),
     ("source=x interval_ms=-1.0", "10.0,1.0,x", "line 1"),
+    ("source=x interval_ms=nan", "10.0,1.0,x", "line 1"),
+    ("source=x interval_ms=inf", "10.0,1.0,x", "line 1"),
 ])
 def test_timeline_text_refusals_name_their_line(meta, rows, line):
     with pytest.raises(FormatError) as err:
@@ -193,12 +195,62 @@ def test_non_finite_pm_counters_readings_are_counted_gaps(tmp_path):
             text = next(texts, None)
             if text is None:
                 stop.set()
-                raise SourceGap("done")
+                return None
             return parse_pm_counters(text).watts
 
     tl = sample_loop(Readings(), 1.0, stop)
     assert [s.watts for s in tl.samples] == [200.0, 210.0]
     assert tl.gap_count == 3  # two refused readings, then the poll that stops the loop
+
+
+def test_invalid_readings_are_counted_gaps_and_the_sampler_still_stops():
+    values = iter([100.0, math.inf, math.nan, -1.0, 100.0])
+    exhausted = threading.Event()
+
+    class Readings:
+        name = "fake"
+        idle_polls = 0  # polls after the last value, each a None
+
+        def read(self):
+            value = next(values, None)
+            if value is None:
+                self.idle_polls += 1
+                exhausted.set()
+            return value
+
+    source = Readings()
+    sampler = Sampler(source, interval_ms=1.0)
+    sampler.start()
+    assert exhausted.wait(10.0)
+    tl = sampler.stop()
+    assert [s.watts for s in tl.samples] == [100.0, 100.0]
+    assert tl.gap_count == 3 + source.idle_polls
+
+
+def test_a_poll_that_returns_none_ends_a_run_of_failures():
+    stop = threading.Event()
+    polls = itertools.count()
+
+    class Flaky:
+        name = "flaky"
+
+        def read(self):
+            n = next(polls)
+            if n == 20:
+                stop.set()
+            if n == 10:
+                return None
+            raise OSError("flaky")
+
+    tl = sample_loop(Flaky(), 1.0, stop)  # ten failures, None, ten failures: no SourceError
+    assert (len(tl), tl.gap_count) == (0, 21)
+
+
+def test_an_energy_counter_file_holding_inf_fails_after_consecutive_failures(tmp_path):
+    path = tmp_path / "energy_uj"
+    path.write_text("inf\n")
+    with pytest.raises(SourceError, match="failed 11 consecutive reads: watts must be .* got nan"):
+        sample_loop(EnergyCounterSource(path), 1.0, threading.Event())
 
 
 @settings(max_examples=30, deadline=None)
@@ -292,39 +344,36 @@ def test_sample_loop_tolerates_intermittent_failures():
     assert all(s.watts == 50.0 for s in tl.samples)
 
 
-def test_energy_counter_finite_difference(monkeypatch):
+def counter_reads(monkeypatch, path, clock, counts):
+    """Each read of an EnergyCounterSource on path, the file holding the next count."""
     import entrobench.telemetry as telemetry
 
-    clock = iter([10.0, 10.1])
+    clock = iter(clock)
     monkeypatch.setattr(telemetry.time, "perf_counter", lambda: next(clock))
-    joules = iter([1000.0, 1025.0])
-    src = EnergyCounterSource(lambda: next(joules))
-    with pytest.raises(telemetry.SourceGap):
-        src.read()  # first read only establishes the baseline
-    assert src.read() == pytest.approx(250.0)  # 25 J over 100 ms
+    src = EnergyCounterSource(path)
+    for count in counts:
+        path.write_text(count)
+        yield src.read()
 
 
-def test_energy_counter_wrap_is_gap(monkeypatch):
-    import entrobench.telemetry as telemetry
-
-    clock = iter([0.0, 1.0, 2.0])
-    monkeypatch.setattr(telemetry.time, "perf_counter", lambda: next(clock))
-    joules = iter([1000.0, 5.0, 105.0])
-    src = EnergyCounterSource(lambda: next(joules))
-    with pytest.raises(telemetry.SourceGap):
-        src.read()
-    with pytest.raises(telemetry.SourceGap):
-        src.read()  # counter went backwards: wrap, not a negative wattage
-    assert src.read() == pytest.approx(100.0)
+def test_energy_counter_finite_difference(monkeypatch, tmp_path):
+    reads = counter_reads(monkeypatch, tmp_path / "energy_uj", [10.0, 10.1],
+                          ["1000000000\n", "1025000000\n"])
+    assert next(reads) is None  # first read only establishes the baseline
+    assert next(reads) == pytest.approx(250.0)  # 25 J over 100 ms
 
 
-def test_energy_counter_scale(monkeypatch):
-    import entrobench.telemetry as telemetry
+def test_energy_counter_wrap_is_gap(monkeypatch, tmp_path):
+    reads = counter_reads(monkeypatch, tmp_path / "energy_uj", [0.0, 1.0, 2.0],
+                          ["1000000000", "5000000", "105000000"])
+    assert next(reads) is None
+    assert next(reads) is None  # counter went backwards: wrap, not a negative wattage
+    assert next(reads) == pytest.approx(100.0)
 
-    clock = iter([0.0, 1.0])
-    monkeypatch.setattr(telemetry.time, "perf_counter", lambda: next(clock))
-    uj = iter([0.0, 200_000_000.0])
-    src = EnergyCounterSource(lambda: next(uj), scale=1e-6)
-    with pytest.raises(telemetry.SourceGap):
-        src.read()
-    assert src.read() == pytest.approx(200.0)
+
+def test_energy_counter_scale(monkeypatch, tmp_path):
+    reads = counter_reads(monkeypatch, tmp_path / "energy_uj", [0.0, 1.0, 1.0],
+                          ["0 uj", "200000000 uj trailing", "300000000"])
+    assert next(reads) is None
+    assert next(reads) == pytest.approx(200.0)
+    assert next(reads) is None  # the clock has not advanced
