@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigError, InsufficientDataError
-from .gemm import RunRecord
+from .spec import RunRecord
 from .telemetry import Timeline
 
 DEFAULT_TRIM_FRACTION = 0.05

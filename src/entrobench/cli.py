@@ -12,9 +12,8 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from . import analysis, fixtures, model, records, telemetry
+from . import analysis, fixtures, records, telemetry
 from .errors import ConfigError, EntrobenchError, FormatError, InsufficientDataError, SourceError
-from .gemm import get_backend, run_experiment
 from .manifest import (
     AnalysisPlan,
     ExperimentManifest,
@@ -22,7 +21,7 @@ from .manifest import (
     manifest_digest,
     save_manifest,
 )
-from .patterns import write_file
+from .spec import write_file
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -55,6 +54,16 @@ def build_sampler(descriptor: str,
     else:
         raise ConfigError(f"unknown telemetry source descriptor {descriptor!r}")
     return telemetry.Sampler(source, interval_ms=interval_ms)
+
+
+def run_experiment(config, **kwargs):
+    """gemm.run_experiment, imported on first use so that only run and sweep load numpy.
+
+    execute_run calls the workload by this module-level name, so replacing
+    cli.run_experiment wraps every run.
+    """
+    from .gemm import run_experiment
+    return run_experiment(config, **kwargs)
 
 
 def _summary_row(record, timelines, plan: AnalysisPlan) -> dict:
@@ -137,6 +146,7 @@ def execute_run(m: ExperimentManifest, run_dir: Path, run_index: int = 0):
     run_dir.mkdir(parents=True, exist_ok=True)
     phase = "configure"
     try:
+        from .gemm import get_backend
         get_backend(m.config.backend_id)
         save_manifest(m, run_dir / "manifest")
         write_file(run_dir / "manifest.sha256", manifest_digest(m) + "\n")
@@ -255,6 +265,7 @@ def cmd_replay(inputs, out: Path, plan: AnalysisPlan) -> int:
 
 
 def cmd_score(m: ExperimentManifest, out: Path) -> int:
+    from . import model
     plan, pattern = m.model, m.config.pattern
     if pattern.n_dim > plan.max_n_dim:
         raise ConfigError(

@@ -9,8 +9,7 @@ mean reproduces the recorded wattage exactly.
 
 from __future__ import annotations
 
-from .gemm import GemmConfig, RunRecord, flop_count
-from .patterns import Family, PatternSpec, ValueMode
+from .spec import Family, GemmConfig, PatternSpec, RunRecord, ValueMode, flop_count
 from .telemetry import PowerSample, Timeline
 
 TDP_W = 400.0

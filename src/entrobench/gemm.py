@@ -18,58 +18,8 @@ import numpy as np
 
 from . import patterns
 from .errors import ConfigError, SourceError
-from .patterns import Family, MatrixPair, PatternSpec, generate
-
-DEFAULT_REPS = 100
-DEFAULT_WARMUP_SECONDS = 60.0
-
-
-@dataclass(frozen=True)
-class GemmConfig:
-    pattern: PatternSpec
-    reps: int = DEFAULT_REPS
-    alpha: float = 1.0
-    beta: float = 1.0
-    backend_id: str = "reference"
-    warmup_seconds: float = DEFAULT_WARMUP_SECONDS
-
-    def __post_init__(self):
-        if self.reps < 1:
-            raise ConfigError(f"reps must be >= 1, got {self.reps}")
-        if self.warmup_seconds < 0:
-            raise ConfigError("warmup_seconds must be nonnegative")
-
-    @property
-    def n_dim(self) -> int:
-        return self.pattern.n_dim
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """Provenance for one experiment: timings, FLOP accounting, checksum."""
-
-    config: GemmConfig
-    warmup_seconds: float
-    warmup_iterations: int
-    measured_seconds: float
-    total_flops: int
-    flop_rate: float
-    checksum: float
-    checksum_bits: str
-    timeline_ids: tuple[str, ...] = ()
-    node_id: str = "local"
-    run_index: int = 0
-    # Measured-phase window in the time frame of the first attached timeline.
-    measured_start_ms: float = 0.0
-    measured_end_ms: float = 0.0
-    warnings: tuple[str, ...] = ()
-
-
-def flop_count(n_dim: int, reps: int) -> int:
-    """reps * 2 * N^3; the alpha/beta 3N^2 term is excluded by convention."""
-    if n_dim < 1 or reps < 1:
-        raise ConfigError("n_dim and reps must be positive")
-    return reps * 2 * n_dim ** 3
+from .patterns import MatrixPair, generate
+from .spec import FIXED_C_INIT, Family, GemmConfig, PatternSpec, RunRecord, flop_count
 
 
 GEMM_BLOCK = 1 << 15  # accumulator elements per block of output rows
@@ -222,7 +172,7 @@ def make_subprocess_backend(command: list[str], workdir) -> Backend:
 
 def initial_c(spec: PatternSpec) -> float:
     """C starts at 1.0 for the fixed-input baseline, 0.0 otherwise."""
-    return patterns.FIXED_C_INIT if spec.family is Family.BASELINE_FIXED else 0.0
+    return FIXED_C_INIT if spec.family is Family.BASELINE_FIXED else 0.0
 
 
 def run_experiment(

@@ -14,7 +14,6 @@ and can be archived next to their outputs.
 from __future__ import annotations
 
 import configparser
-import hashlib
 import io
 import math
 from dataclasses import MISSING, dataclass, field, replace
@@ -23,9 +22,8 @@ from operator import attrgetter
 from . import fixtures
 from .analysis import DEFAULT_TRIM_FRACTION
 from .errors import ConfigError
-from .gemm import GemmConfig
-from .patterns import Family, PatternSpec, ValueMode, write_file
 from .records import decode_list, encode
+from .spec import Family, GemmConfig, PatternSpec, ValueMode, write_file
 from .telemetry import DEFAULT_INTERVAL_MS
 
 SCHEMA_VERSION = 1
@@ -64,8 +62,9 @@ class AnalysisPlan:
     trim_fraction: float = DEFAULT_TRIM_FRACTION
 
     def __post_init__(self):
-        if self.tdp_w <= 0:
-            raise ConfigError(f"tdp_w must be positive, got {self.tdp_w}")
+        for name in ("tdp_w", "baseline_random_w", "baseline_fixed_w"):
+            if not 0 < getattr(self, name) < math.inf:  # also rejects nan
+                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not 0 <= self.trim_fraction < 0.5:
             raise ConfigError(f"trim_fraction must be in [0, 0.5), got {self.trim_fraction}")
 
@@ -194,4 +193,5 @@ def save_manifest(m: ExperimentManifest, path) -> None:
 
 
 def manifest_digest(m: ExperimentManifest) -> str:
+    import hashlib  # loads OpenSSL, which only run and sweep need
     return hashlib.sha256(manifest_to_text(m).encode()).hexdigest()

@@ -1,10 +1,7 @@
 """Entropy-controlled DGEMM input matrix generation.
 
-Input matrices are built from a declarative PatternSpec: a family (two
-baselines plus four structured families), a matrix dimension N (power of
-two), a level n selecting how finely the random-valued region is divided
-(0 <= n <= log2 N), and a value mode choosing between independently drawn
-random cells and a single shared constant.
+Input matrices are built from a declarative spec.PatternSpec: a family,
+a power-of-two dimension N, a level and a value mode.
 
 Block families keep the random fraction at exactly 50% for level >= 1,
 arranged as row/column stripes or a checkerboard.  Sparse families grow
@@ -14,78 +11,14 @@ matrix.  All remaining cells are exactly 0.0.
 
 from __future__ import annotations
 
-import enum
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-
-# Splitting constant so A and B get decorrelated streams from one user seed.
-SEED_SPLIT = 0x9E3779B97F4A7C15
-
-_U64 = 1 << 64
-
-
-class Family(str, enum.Enum):
-    BASELINE_RANDOM = "baseline_random"
-    BASELINE_FIXED = "baseline_fixed"
-    BLOCK_ROWCOL = "block_rowcol"
-    BLOCK_DIAGONAL = "block_diagonal"
-    SPARSE_ROWCOL = "sparse_rowcol"
-    SPARSE_DIAGONAL = "sparse_diagonal"
-
-
-class ValueMode(str, enum.Enum):
-    INDEPENDENT = "independent"
-    FIXED_COMMON = "fixed_common"
-
-
-BASELINE_FAMILIES = frozenset({Family.BASELINE_RANDOM, Family.BASELINE_FIXED})
-PATTERN_FAMILIES = tuple(f for f in Family if f not in BASELINE_FAMILIES)
-
-# Fixed-input operand values (the low-entropy reference workload).
-FIXED_A_VALUE = 2.0
-FIXED_B_VALUE = 0.5
-FIXED_C_INIT = 1.0
-
-
-def _log2_int(n: int) -> int:
-    if n < 2 or n & (n - 1):
-        raise ConfigError(f"n_dim must be a power of two >= 2, got {n}")
-    return n.bit_length() - 1
-
-
-@dataclass(frozen=True)
-class PatternSpec:
-    """Declarative description of one input-matrix entropy pattern."""
-
-    family: Family
-    n_dim: int
-    level: int = 0
-    value_mode: ValueMode = ValueMode.INDEPENDENT
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "family", Family(self.family))
-        object.__setattr__(self, "value_mode", ValueMode(self.value_mode))
-        max_level = _log2_int(self.n_dim)
-        if not 0 <= self.level <= max_level:
-            raise ConfigError(
-                f"level must be in [0, {max_level}] for n_dim={self.n_dim}, "
-                f"got {self.level}"
-            )
-        if not 0 <= self.seed < _U64:
-            raise ConfigError(f"seed must be an unsigned 64-bit value, got {self.seed}")
-
-    @property
-    def max_level(self) -> int:
-        return _log2_int(self.n_dim)
-
-    @property
-    def is_baseline(self) -> bool:
-        return self.family in BASELINE_FAMILIES
+from .spec import (FIXED_A_VALUE, FIXED_B_VALUE, SEED_SPLIT, Family, PatternSpec, ValueMode,
+                   write_file)
+from .spec import PATTERN_FAMILIES  # noqa: F401 - read as patterns.PATTERN_FAMILIES
 
 
 @dataclass(frozen=True)
@@ -187,25 +120,6 @@ def generate(spec: PatternSpec) -> MatrixPair:
     a.setflags(write=False)
     b.setflags(write=False)
     return MatrixPair(a=a, b=b, spec=spec)
-
-
-def write_file(path, data) -> None:
-    """Write data (bytes-like, or str as UTF-8) to path, rewriting a file in place.
-
-    Every file the toolkit writes goes through here.  An existing file is
-    overwritten and then cut to the new length, never truncated first:
-    truncating frees the file's blocks, which on a file system mounted with
-    `discard` is a synchronous device command per file.
-    """
-    view = memoryview(data.encode("utf-8") if isinstance(data, str) else data).cast("B")
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    try:
-        written = 0
-        while written < view.nbytes:  # os.write may write less than asked
-            written += os.write(fd, view[written:])
-        os.ftruncate(fd, view.nbytes)
-    finally:
-        os.close(fd)
 
 
 def dump_matrix(matrix: np.ndarray, path) -> None:

@@ -11,8 +11,7 @@ import io
 from operator import attrgetter
 
 from .errors import ConfigError, FormatError
-from .gemm import GemmConfig, RunRecord
-from .patterns import Family, PatternSpec, ValueMode, write_file
+from .spec import Family, GemmConfig, PatternSpec, RunRecord, ValueMode, write_file
 
 RECORD_SCHEMA = "entrobench-record v1"
 

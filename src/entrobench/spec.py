@@ -1,0 +1,156 @@
+"""What a run is: its pattern, its GEMM settings and its record.
+
+These types are kept apart from the code that executes them, so that
+manifests, records and timelines are read and written without numpy.
+A PatternSpec is a family (two baselines plus four structured families),
+a power-of-two dimension N, a level n selecting how finely the random
+region is divided (0 <= n <= log2 N), and a value mode: independently
+drawn random cells or one shared constant.
+"""
+
+from __future__ import annotations
+
+import enum
+import math
+import os
+from dataclasses import dataclass
+
+from .errors import ConfigError
+
+# Splitting constant so A and B get decorrelated streams from one user seed.
+SEED_SPLIT = 0x9E3779B97F4A7C15
+
+_U64 = 1 << 64
+
+
+class Family(str, enum.Enum):
+    BASELINE_RANDOM = "baseline_random"
+    BASELINE_FIXED = "baseline_fixed"
+    BLOCK_ROWCOL = "block_rowcol"
+    BLOCK_DIAGONAL = "block_diagonal"
+    SPARSE_ROWCOL = "sparse_rowcol"
+    SPARSE_DIAGONAL = "sparse_diagonal"
+
+
+class ValueMode(str, enum.Enum):
+    INDEPENDENT = "independent"
+    FIXED_COMMON = "fixed_common"
+
+
+BASELINE_FAMILIES = frozenset({Family.BASELINE_RANDOM, Family.BASELINE_FIXED})
+PATTERN_FAMILIES = tuple(f for f in Family if f not in BASELINE_FAMILIES)
+
+# Fixed-input operand values (the low-entropy reference workload).
+FIXED_A_VALUE = 2.0
+FIXED_B_VALUE = 0.5
+FIXED_C_INIT = 1.0
+
+
+def _log2_int(n: int) -> int:
+    if n < 2 or n & (n - 1):
+        raise ConfigError(f"n_dim must be a power of two >= 2, got {n}")
+    return n.bit_length() - 1
+
+
+@dataclass(frozen=True)
+class PatternSpec:
+    """Declarative description of one input-matrix entropy pattern."""
+
+    family: Family
+    n_dim: int
+    level: int = 0
+    value_mode: ValueMode = ValueMode.INDEPENDENT
+    seed: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "family", Family(self.family))
+        object.__setattr__(self, "value_mode", ValueMode(self.value_mode))
+        max_level = _log2_int(self.n_dim)
+        if not 0 <= self.level <= max_level:
+            raise ConfigError(
+                f"level must be in [0, {max_level}] for n_dim={self.n_dim}, "
+                f"got {self.level}"
+            )
+        if not 0 <= self.seed < _U64:
+            raise ConfigError(f"seed must be an unsigned 64-bit value, got {self.seed}")
+
+    @property
+    def max_level(self) -> int:
+        return _log2_int(self.n_dim)
+
+    @property
+    def is_baseline(self) -> bool:
+        return self.family in BASELINE_FAMILIES
+
+
+DEFAULT_REPS = 100
+DEFAULT_WARMUP_SECONDS = 60.0
+
+
+@dataclass(frozen=True)
+class GemmConfig:
+    pattern: PatternSpec
+    reps: int = DEFAULT_REPS
+    alpha: float = 1.0
+    beta: float = 1.0
+    backend_id: str = "reference"
+    warmup_seconds: float = DEFAULT_WARMUP_SECONDS
+
+    def __post_init__(self):
+        if self.reps < 1:
+            raise ConfigError(f"reps must be >= 1, got {self.reps}")
+        # inf would never end the warm-up loop, and nan would silently skip it.
+        if not 0 <= self.warmup_seconds < math.inf:
+            raise ConfigError(
+                f"warmup_seconds must be nonnegative and finite, got {self.warmup_seconds}")
+
+    @property
+    def n_dim(self) -> int:
+        return self.pattern.n_dim
+
+
+@dataclass(frozen=True)
+class RunRecord:
+    """Provenance for one experiment: timings, FLOP accounting, checksum."""
+
+    config: GemmConfig
+    warmup_seconds: float
+    warmup_iterations: int
+    measured_seconds: float
+    total_flops: int
+    flop_rate: float
+    checksum: float
+    checksum_bits: str
+    timeline_ids: tuple[str, ...] = ()
+    node_id: str = "local"
+    run_index: int = 0
+    # Measured-phase window in the time frame of the first attached timeline.
+    measured_start_ms: float = 0.0
+    measured_end_ms: float = 0.0
+    warnings: tuple[str, ...] = ()
+
+
+def flop_count(n_dim: int, reps: int) -> int:
+    """reps * 2 * N^3; the alpha/beta 3N^2 term is excluded by convention."""
+    if n_dim < 1 or reps < 1:
+        raise ConfigError("n_dim and reps must be positive")
+    return reps * 2 * n_dim ** 3
+
+
+def write_file(path, data) -> None:
+    """Write data (bytes-like, or str as UTF-8) to path, rewriting a file in place.
+
+    Every file the toolkit writes goes through here.  An existing file is
+    overwritten and then cut to the new length, never truncated first:
+    truncating frees the file's blocks, which on a file system mounted with
+    `discard` is a synchronous device command per file.
+    """
+    view = memoryview(data.encode("utf-8") if isinstance(data, str) else data).cast("B")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        written = 0
+        while written < view.nbytes:  # os.write may write less than asked
+            written += os.write(fd, view[written:])
+        os.ftruncate(fd, view.nbytes)
+    finally:
+        os.close(fd)

@@ -18,8 +18,8 @@ import time
 from dataclasses import dataclass, replace
 
 from .errors import FormatError, SourceError
-from .patterns import write_file
 from .records import encode
+from .spec import write_file
 
 DEFAULT_INTERVAL_MS = 100.0
 MAX_CONSECUTIVE_FAILURES = 10

@@ -2,6 +2,9 @@ import csv
 import dataclasses
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -186,6 +189,9 @@ def test_replay_of_run_with_missing_named_timeline_exits_source(tmp_path, capsys
     ("warmup_seconds", "-1", "run"),
     ("warmup_seconds", "-1", "sweep"),
     ("warmup_seconds", "-1", "score"),
+    ("warmup_seconds", "inf", "score"),  # would never end a run's warm-up, so not run here
+    ("warmup_seconds", "nan", "run"),  # would skip the warm-up
+    ("warmup_seconds", "nan", "sweep"),
     ("lanes", "x", "run"),  # [model]
     ("lanes", "x", "sweep"),
     ("lanes", "x", "score"),
@@ -194,6 +200,10 @@ def test_replay_of_run_with_missing_named_timeline_exits_source(tmp_path, capsys
     ("value_modes", "bogus", "score"),
     ("value_modes", "", "sweep"),
     ("trim_fraction", "0.6", "run"),  # [analysis]
+    ("tdp_w", "nan", "run"),
+    ("tdp_w", "inf", "sweep"),
+    ("baseline_fixed_w", "nan", "run"),
+    ("baseline_random_w", "-5", "run"),
     ("interval_ms", "0.5", "run"),  # [telemetry]: the sampler's 1 ms floor
     ("interval_ms", "0.5", "sweep"),
     ("interval_ms", "nan", "run"),
@@ -416,6 +426,23 @@ def test_run_keeps_going_after_a_failed_repetition(tmp_path, monkeypatch, capsys
     assert (out / "run-002" / "record.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_run_and_sweep_reach_the_workload_through_cli_run_experiment(tmp_path, monkeypatch,
+                                                                     command):
+    manifest = write_manifest(tmp_path / "m.ini",
+                              sweep=SweepPlan(level_min=1, level_max=1,
+                                              value_modes=("independent",)))
+    original, levels = cli.run_experiment, []
+
+    def recording(config, **kwargs):
+        levels.append(config.pattern.level)
+        return original(config, **kwargs)
+
+    monkeypatch.setattr(cli, "run_experiment", recording)
+    assert main(["--manifest", str(manifest), command]) == 0
+    assert levels == [1]
+
+
 def test_sweep_runs_each_points_repetitions(tmp_path, capsys):
     tl = tmp_path / "recorded.csv"
     write_replay_timeline(tl, mean_w=330.0)
@@ -463,6 +490,36 @@ def test_fixtures_then_replay_reproduces_headline(tmp_path, capsys):
     assert len(series) == 15
     assert float(series[-1]["mean_w"]) == pytest.approx(
         256.6622386211853, rel=1e-12)
+
+
+def fresh_python(code, *args):
+    """Run code in a new interpreter that imports entrobench from this checkout."""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_and_manifest_load_without_numpy(tmp_path):
+    manifest = write_manifest(tmp_path / "m.ini")
+    code = ("import sys, entrobench.cli, entrobench.manifest as m\n"
+            "m.load_manifest(sys.argv[1])\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'numpy'))\n")
+    assert fresh_python(code, str(manifest)) == "[]\n"
+
+
+def test_fixtures_then_replay_run_with_numpy_unimportable(tmp_path):
+    code = ("import sys\n"
+            "sys.modules['numpy'] = None  # import numpy now raises ImportError\n"
+            "from entrobench.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    fx, rp = tmp_path / "fx", tmp_path / "rp"
+    fresh_python(code, "--out", str(fx), "fixtures")
+    fresh_python(code, "--out", str(rp), "replay", str(fx))
+    assert (rp / "report.txt").read_text() == "percent_increase=66.96\n"
 
 
 def test_fixtures_over_longer_files_rewrites_them_to_a_fresh_runs_bytes(tmp_path):
@@ -611,7 +668,9 @@ def test_run_of_a_one_sample_replay_exits_insufficient_data(tmp_path, capsys):
     assert "degenerate measured window" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("column,value", [("n", "3"), ("reps", "0")])
+@pytest.mark.parametrize("column,value", [("n", "3"), ("reps", "0"),
+                                          ("warmup_seconds_config", "inf"),
+                                          ("warmup_seconds_config", "nan")])
 def test_replay_of_a_record_value_the_config_refuses_exits_source(tmp_path, capsys,
                                                                    column, value):
     tl = tmp_path / "recorded.csv"
