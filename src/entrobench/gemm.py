@@ -3,8 +3,10 @@
 An experiment generates one operand pair, runs an untimed warm-up phase
 for a configured number of seconds, then runs a fixed count of timed
 back-to-back C <- alpha*A*B + beta*C multiplications against a pluggable
-backend.  The output matrix is carried across repetitions without
-re-zeroing; FLOP accounting uses the standard 2*N^3 per multiplication.
+backend.  Each backend call overwrites C in place, as DGEMM does, and C is
+carried across repetitions without re-zeroing, so a run holds three N x N
+matrices: A, B and C.  FLOP accounting uses the standard 2*N^3 per
+multiplication.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import patterns
-from .errors import ConfigError, SourceError
+from .errors import ConfigError, FormatError, SourceError
 from .patterns import MatrixPair, generate
 from .spec import FIXED_C_INIT, Family, GemmConfig, PatternSpec, RunRecord, flop_count
 
@@ -38,7 +40,8 @@ def _aligned_empty(shape: tuple[int, int]) -> np.ndarray:
     return raw[start:start + size].reshape(shape)
 
 
-def reference_gemm(a, b, c, alpha: float = 1.0, beta: float = 1.0) -> np.ndarray:
+def reference_gemm(a, b, c, alpha: float = 1.0, beta: float = 1.0,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """C' = alpha*A*B + beta*C with ascending-k per-cell summation.
 
     Output rows are computed in blocks of about GEMM_BLOCK elements, with
@@ -50,8 +53,15 @@ def reference_gemm(a, b, c, alpha: float = 1.0, beta: float = 1.0) -> np.ndarray
     infinities and signed zeros included.  NaN cells are in the same
     places, but where two NaNs meet, the sign of the result is unspecified
     by IEEE 754 and follows numpy's loop length and operand order, so it
-    may differ.  Working memory is the output plus two blocks; overflow and
-    invalid-operation RuntimeWarnings are raised as numpy raises them.
+    may differ.  Overflow and invalid-operation RuntimeWarnings are raised
+    as numpy raises them.
+
+    C' goes into out, a new array when out is None.  out may be C itself:
+    each block of C is read before that block of C' is written, so the bits
+    are the same, and working memory is then only the two blocks (the
+    output plus two blocks otherwise).  An out that may share memory with
+    A or B, or with C other than as C itself, raises ConfigError, since a
+    written block would change operands that later blocks read.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -60,7 +70,15 @@ def reference_gemm(a, b, c, alpha: float = 1.0, beta: float = 1.0) -> np.ndarray
     for m in (a, b, c):
         if m.shape != (n, n):
             raise ConfigError(f"operands must all be {n}x{n}, got {m.shape}")
-    out = np.empty((n, n))
+    if out is None:
+        out = np.empty((n, n))
+    elif out.shape != (n, n) or out.dtype != np.float64:
+        raise ConfigError(f"out must be {n}x{n} float64, got {out.shape} {out.dtype}")
+    elif np.may_share_memory(out, a) or np.may_share_memory(out, b):
+        raise ConfigError("out must not share memory with A or B")
+    elif np.may_share_memory(out, c) and (out.ctypes.data, out.strides) != (c.ctypes.data,
+                                                                              c.strides):
+        raise ConfigError("out must not share memory with C other than as C itself")
     rows = max(1, GEMM_BLOCK // max(n, 1))
     acc_buf = _aligned_empty((min(rows, n), n))
     prod_buf = _aligned_empty(acc_buf.shape)
@@ -103,7 +121,13 @@ def checksum(c: np.ndarray) -> tuple[float, str]:
 
 @dataclass(frozen=True)
 class Backend:
-    run: object  # callable (a, b, c, alpha, beta) -> c'
+    """A DGEMM implementation, with DGEMM's contract.
+
+    run(a, b, c, alpha, beta) overwrites c with alpha*A*B + beta*C and
+    returns None; a and b are left unchanged.
+    """
+
+    run: object
 
 
 _BACKENDS: dict[str, Backend] = {}
@@ -127,7 +151,11 @@ def backend_ids() -> tuple[str, ...]:
     return tuple(sorted(_BACKENDS))
 
 
-register_backend("reference", Backend(run=reference_gemm))
+def _reference_in_place(a, b, c, alpha, beta) -> None:
+    reference_gemm(a, b, c, alpha, beta, out=c)
+
+
+register_backend("reference", Backend(run=_reference_in_place))
 
 
 def make_subprocess_backend(command: list[str], workdir) -> Backend:
@@ -139,6 +167,11 @@ def make_subprocess_backend(command: list[str], workdir) -> Backend:
     The program must exit 0 and leave a `result.manifest` with at least
     wall_seconds and the output file name (c_out, same raw layout); the
     runner deletes result.manifest first, so no call reads an earlier one.
+    c_out is read straight into c.  A call that leaves no readable
+    result.manifest, or a c_out missing or of the wrong size, raises
+    SourceError; a c_out of the wrong size leaves c unchanged.  The program
+    has read its inputs before c is written, so c may share memory with a
+    or b.
     """
     workdir = Path(workdir)
 
@@ -163,8 +196,8 @@ def make_subprocess_backend(command: list[str], workdir) -> Backend:
             result = {key.strip(): value.strip() for key, value in pairs}
             if "wall_seconds" not in result:
                 raise SourceError("backend result.manifest is missing wall_seconds")
-            return patterns.load_matrix(workdir / result.get("c_out", "c_out.bin"), n)
-        except (OSError, UnicodeDecodeError) as exc:
+            patterns.load_matrix(workdir / result.get("c_out", "c_out.bin"), c)
+        except (OSError, UnicodeDecodeError, FormatError) as exc:
             raise SourceError(f"backend command {command} left no readable result: {exc}") from exc
 
     return Backend(run=run)
@@ -183,6 +216,8 @@ def run_experiment(
 ) -> tuple[RunRecord, dict]:
     """Execute one experiment; returns (record, {timeline_id: Timeline}).
 
+    One C serves the warm-up and every repetition: each backend call
+    updates it in place, so the run holds A, B and C, 3 * 8 * N^2 bytes.
     Samplers (telemetry.Sampler, telemetry.ReplaySampler) run concurrently
     with the workload.  The measured window is in the time frame of the
     first started sampler's timeline, the one a run's summary analyses.  A
@@ -204,21 +239,18 @@ def run_experiment(
         except Exception as exc:  # noqa: BLE001 - degrade, don't abort
             warnings.append(f"sampler {sampler.name} failed: {exc}")
 
-    def one_gemm(c):
-        return backend.run(pair.a, pair.b, c, config.alpha, config.beta)
-
     stopped = []  # each started sampler's timeline, or the error its stop() raised
     try:
         warmup_iters = 0
         t0 = time.perf_counter()
         while time.perf_counter() - t0 < config.warmup_seconds:
-            c = one_gemm(c)
+            backend.run(pair.a, pair.b, c, config.alpha, config.beta)
             warmup_iters += 1
         warmup_elapsed = time.perf_counter() - t0
 
         t_start = time.perf_counter()
         for _ in range(config.reps):
-            c = one_gemm(c)
+            backend.run(pair.a, pair.b, c, config.alpha, config.beta)
         t_end = time.perf_counter()
     finally:
         for sampler in started:

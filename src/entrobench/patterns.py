@@ -11,11 +11,12 @@ matrix.  All remaining cells are exactly 0.0.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .spec import (FIXED_A_VALUE, FIXED_B_VALUE, SEED_SPLIT, Family, PatternSpec, ValueMode,
                    write_file)
 from .spec import PATTERN_FAMILIES  # noqa: F401 - read as patterns.PATTERN_FAMILIES
@@ -84,9 +85,16 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _uniform_open_closed(rng: np.random.Generator, count) -> np.ndarray:
-    # (0, 1] so no independent draw collides with the 0.0 zero-cell sentinel.
-    return 1.0 - rng.random(count)
+def _uniform_open_closed(rng: np.random.Generator, count):
+    """Draws on (0, 1], so none collides with the 0.0 zero-cell sentinel.
+
+    An array draw is turned around in place, so it costs one array; a
+    count of None draws one float.
+    """
+    x = rng.random(count)
+    if count is None:
+        return 1.0 - x
+    return np.subtract(1.0, x, out=x)
 
 
 def generate(spec: PatternSpec) -> MatrixPair:
@@ -110,7 +118,7 @@ def generate(spec: PatternSpec) -> MatrixPair:
         a = np.zeros((n, n))
         b = np.zeros((n, n))
         if spec.value_mode is ValueMode.FIXED_COMMON:
-            common = float(_uniform_open_closed(rng_a, None))
+            common = _uniform_open_closed(rng_a, None)
             a[mask_a] = common
             b[mask_b] = common
         else:
@@ -130,10 +138,20 @@ def dump_matrix(matrix: np.ndarray, path) -> None:
     write_file(path, np.ascontiguousarray(matrix, dtype="<f8"))
 
 
-def load_matrix(path, n_dim: int) -> np.ndarray:
-    data = np.fromfile(path, dtype="<f8")
-    if data.size != n_dim * n_dim:
-        raise ConfigError(
-            f"matrix file {path} holds {data.size} values, expected {n_dim * n_dim}"
-        )
-    return data.reshape(n_dim, n_dim)
+def load_matrix(path, out: np.ndarray) -> None:
+    """Read a dump_matrix file into out, which it overwrites.
+
+    The file's size is checked before any byte is read, so a file of the
+    wrong size raises FormatError naming it and leaves out unchanged.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size != out.size * 8:
+            raise FormatError(f"matrix file {path} holds {size} bytes, "
+                              f"expected {out.size * 8} for {out.shape[0]}x{out.shape[1]} float64")
+        if out.flags.c_contiguous and out.dtype == np.dtype("<f8"):
+            read = fh.readinto(memoryview(out).cast("B"))
+            if read != size:
+                raise FormatError(f"matrix file {path} ended after {read} of {size} bytes")
+        else:
+            out[...] = np.fromfile(fh, dtype="<f8").reshape(out.shape)

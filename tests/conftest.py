@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import pytest
 
@@ -14,3 +15,16 @@ def no_leftover_threads():
     alive = [thread.name for thread in new if thread.is_alive()]
     if alive:
         pytest.fail(f"test left live threads: {alive}")
+
+
+@pytest.fixture
+def traced_peak():
+    """traced_peak(fn) calls fn() and returns the peak bytes tracemalloc saw meanwhile."""
+    def measure(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return measure

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from entrobench import cli, fixtures, records, telemetry
+from entrobench import cli, fixtures, gemm, records, telemetry
 from entrobench.cli import main
 from entrobench.errors import SourceError
 from entrobench.gemm import GemmConfig
@@ -372,6 +372,21 @@ def test_sweep_subrange(tmp_path):
     assert len(run_dirs) == 3
     rows = read_csv(out / "series-block_rowcol-independent.csv")
     assert [int(r["level"]) for r in rows] == [3, 4, 5]
+
+
+def test_backend_output_of_the_wrong_size_exits_source(tmp_path, monkeypatch, capsys):
+    script = tmp_path / "backend.py"
+    script.write_text("open('c_out.bin', 'wb').write(bytes(72))\n"
+                      "open('result.manifest', 'w').write('wall_seconds=0.1\\n')\n")
+    monkeypatch.setitem(gemm._BACKENDS, "test-short", gemm.make_subprocess_backend(
+        [sys.executable, str(script)], tmp_path / "work"))
+    manifest = write_manifest(tmp_path / "m.ini", pattern=PatternSpec(family="baseline_fixed",
+                                                                       n_dim=4),
+                              backend_id="test-short")
+    assert main(["--manifest", str(manifest), "run"]) == 3
+    assert "c_out.bin holds 72 bytes, expected 128" in capsys.readouterr().err
+    failed = (tmp_path / "out" / "failed").read_text().splitlines()
+    assert failed[:2] == ["phase=workload", "type=SourceError"]
 
 
 def test_sweep_of_a_failing_backend_marks_every_point_and_exits_config(tmp_path):

@@ -138,19 +138,44 @@ def test_overflow_and_invalid_still_warn():
     assert np.isnan(out[0]).all() and np.all(out[1] == 2.0)
 
 
-def test_working_memory_is_output_plus_two_blocks():
-    import tracemalloc
-
+def test_working_memory_is_output_plus_two_blocks(traced_peak):
     n = 256
     rng = np.random.default_rng(1)
     a, b, c = rng.random((3, n, n))
-    tracemalloc.start()
-    try:
-        reference_gemm(a, b, c, 1.5, 0.5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: reference_gemm(a, b, c, 1.5, 0.5))
     assert peak < 2_000_000, peak  # 512 KiB output + 2 x 256 KiB blocks
+
+
+def test_in_place_working_memory_is_two_blocks(traced_peak):
+    n = 256
+    rng = np.random.default_rng(1)
+    a, b, c = rng.random((3, n, n))
+    peak = traced_peak(lambda: reference_gemm(a, b, c, 1.5, 0.5, out=c))
+    assert peak < 800_000, peak  # 2 x 256 KiB blocks and numpy's ufunc buffers
+
+
+@pytest.mark.parametrize("n", [1, 5, 64])
+def test_in_place_result_has_the_same_bits(monkeypatch, n):
+    monkeypatch.setattr(gemm, "GEMM_BLOCK", 3 * n)  # several row blocks
+    rng = np.random.default_rng(n)
+    a, b, c = rng.standard_normal((3, n, n))
+    want = reference_gemm(a, b, c, 1.5, -0.75)
+    saved = a.copy(), b.copy()
+    assert reference_gemm(a, b, c, 1.5, -0.75, out=c) is c
+    assert_same_bits(c, want)
+    for m, before in zip((a, b), saved):
+        np.testing.assert_array_equal(m, before)
+
+
+def test_out_that_may_share_memory_with_an_operand_is_refused():
+    rng = np.random.default_rng(2)
+    a, b, c = rng.random((3, 4, 4))
+    saved = [m.copy() for m in (a, b, c)]
+    for out in (a, b, b[::-1], c.T, np.empty((4, 5)), np.empty((4, 4), dtype=np.float32)):
+        with pytest.raises(ConfigError, match="out"):
+            reference_gemm(a, b, c, out=out)
+    for m, before in zip((a, b, c), saved):
+        np.testing.assert_array_equal(m, before)
 
 
 @pytest.mark.parametrize("n", [4, 64])
@@ -194,6 +219,15 @@ def test_checksum_chunks_match_scalar_loop(monkeypatch):
         monkeypatch.setattr(gemm, "CHECKSUM_CHUNK", chunk)
         assert checksum(c) == (total, f"{int(np.float64(total).view(np.uint64)):016x}")
     assert checksum(np.empty((0, 0))) == (0.0, "0000000000000000")
+
+
+def test_run_holds_three_matrices(traced_peak):
+    n = 512
+    config = GemmConfig(pattern=PatternSpec(family="baseline_random", n_dim=n, seed=0),
+                        reps=2, warmup_seconds=0.0)
+    run_experiment(config)  # numpy's first draw allocates extra memory once
+    peak = traced_peak(lambda: run_experiment(config))
+    assert peak < 3.4 * 8 * n * n, peak / (8 * n * n)  # A, B, C and two 1/8-matrix blocks
 
 
 def test_run_experiment_flops_and_determinism():
@@ -322,8 +356,33 @@ def test_subprocess_backend_protocol(tmp_path):
     backend = make_subprocess_backend([sys.executable, str(script)], tmp_path / "work")
     rng = np.random.default_rng(5)
     a, b, c = rng.random((8, 8)), rng.random((8, 8)), rng.random((8, 8))
-    out = backend.run(a, b, c, 1.5, 0.25)
-    np.testing.assert_allclose(out, 1.5 * (a @ b) + 0.25 * c, rtol=1e-12)
+    want = 1.5 * (a @ b) + 0.25 * c
+    assert backend.run(a, b, c, 1.5, 0.25) is None  # c is updated in place
+    np.testing.assert_allclose(c, want, rtol=1e-12)
+
+
+def test_subprocess_run_holds_three_matrices(tmp_path, monkeypatch, traced_peak):
+    script = tmp_path / "backend.py"
+    script.write_text(BACKEND_SCRIPT)
+    monkeypatch.setitem(gemm._BACKENDS, "test-subprocess", make_subprocess_backend(
+        [sys.executable, str(script)], tmp_path / "work"))
+    n = 256  # at N = 128 the call's fixed ~128 KB would count as a whole matrix
+    config = GemmConfig(pattern=PatternSpec(family="baseline_random", n_dim=n, seed=0),
+                        reps=1, warmup_seconds=0.0, backend_id="test-subprocess")
+    run_experiment(config)  # numpy's first draw allocates extra memory once
+    peak = traced_peak(lambda: run_experiment(config))
+    assert peak < 3.5 * 8 * n * n, peak / (8 * n * n)  # A, B and C
+
+
+@pytest.mark.parametrize("size", [120, 127, 136])  # a 4x4 result is 128 bytes
+def test_subprocess_backend_output_of_the_wrong_size_is_a_source_error(tmp_path, size):
+    script = tmp_path / "backend.py"
+    script.write_text(BACKEND_SCRIPT + f"import os\nos.truncate('c_out.bin', {size})\n")
+    backend = make_subprocess_backend([sys.executable, str(script)], tmp_path / "work")
+    a, c = np.eye(4), np.ones((4, 4))
+    with pytest.raises(SourceError, match=r"no readable result: matrix file .*c_out\.bin holds"):
+        backend.run(a, a, c, 1.0, 1.0)
+    np.testing.assert_array_equal(c, np.ones((4, 4)))  # the size is checked before any read
 
 
 @pytest.mark.parametrize("script", [

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -235,14 +233,9 @@ def test_score_spec_keeps_signed_zeros_and_subnormals(lanes, tile, monkeypatch):
         assert score_spec(spec, schedule) == expected
 
 
-def test_score_spec_memory_is_bounded():
+def test_score_spec_memory_is_bounded(traced_peak):
     # the whole N=128, 4-lane stream is 2 Mi cycles (~100 MB as arrays);
     # streaming keeps the two matrices plus one block
     spec = PatternSpec(family="baseline_random", n_dim=128, seed=0)
-    tracemalloc.start()
-    try:
-        score_spec(spec, schedule_for_lanes(4))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: score_spec(spec, schedule_for_lanes(4)))
     assert peak < 8 * 2**20
