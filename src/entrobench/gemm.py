@@ -3,10 +3,10 @@
 An experiment generates one operand pair, runs an untimed warm-up phase
 for a configured number of seconds, then runs a fixed count of timed
 back-to-back C <- alpha*A*B + beta*C multiplications against a pluggable
-backend.  Each backend call overwrites C in place, as DGEMM does, and C is
-carried across repetitions without re-zeroing, so a run holds three N x N
-matrices: A, B and C.  FLOP accounting uses the standard 2*N^3 per
-multiplication.
+backend.  Each backend call overwrites C in place, as DGEMM does (the
+reference backend is reference_gemm itself), and C is carried across
+repetitions without re-zeroing, so a run holds three N x N matrices: A, B
+and C.  FLOP accounting uses the standard 2*N^3 per multiplication.
 """
 
 from __future__ import annotations
@@ -40,45 +40,36 @@ def _aligned_empty(shape: tuple[int, int]) -> np.ndarray:
     return raw[start:start + size].reshape(shape)
 
 
-def reference_gemm(a, b, c, alpha: float = 1.0, beta: float = 1.0,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """C' = alpha*A*B + beta*C with ascending-k per-cell summation.
+def reference_gemm(a, b, c: np.ndarray, alpha: float = 1.0, beta: float = 1.0) -> None:
+    """C <- alpha*A*B + beta*C in place, with ascending-k per-cell summation.
 
     Output rows are computed in blocks of about GEMM_BLOCK elements, with
     k = 0..N-1 in the outer loop: each block's rounded products
     A[i,k]*B[k,j] go into one buffer and are added in place to an
-    accumulator started at 0.0, then alpha*acc + beta*C finishes the block.
-    Each cell thus gets the same additions in the same order as in a scalar
-    triple loop, so results are bit-reproducible and bit-identical to it,
-    infinities and signed zeros included.  NaN cells are in the same
-    places, but where two NaNs meet, the sign of the result is unspecified
-    by IEEE 754 and follows numpy's loop length and operand order, so it
-    may differ.  Overflow and invalid-operation RuntimeWarnings are raised
-    as numpy raises them.
+    accumulator started at 0.0, then alpha*acc + beta*C overwrites that
+    block of C.  Each cell thus gets the same additions in the same order
+    as in a scalar triple loop, so results are bit-reproducible and
+    bit-identical to it, infinities and signed zeros included.  NaN cells
+    are in the same places, but where two NaNs meet, the sign of the result
+    is unspecified by IEEE 754 and follows numpy's loop length and operand
+    order, so it may differ.  Overflow and invalid-operation
+    RuntimeWarnings are raised as numpy raises them.
 
-    C' goes into out, a new array when out is None.  out may be C itself:
-    each block of C is read before that block of C' is written, so the bits
-    are the same, and working memory is then only the two blocks (the
-    output plus two blocks otherwise).  An out that may share memory with
-    A or B, or with C other than as C itself, raises ConfigError, since a
-    written block would change operands that later blocks read.
+    C must be an N x N float64 ndarray.  Each block of C is read before it
+    is written, so working memory is only the two blocks.  A C that may
+    share memory with A or B raises ConfigError, since a written block
+    would change operands that later blocks read.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
     n = a.shape[0]
+    if not isinstance(c, np.ndarray) or c.dtype != np.float64:
+        raise ConfigError(f"C must be a float64 ndarray, got {getattr(c, 'dtype', type(c))}")
     for m in (a, b, c):
         if m.shape != (n, n):
             raise ConfigError(f"operands must all be {n}x{n}, got {m.shape}")
-    if out is None:
-        out = np.empty((n, n))
-    elif out.shape != (n, n) or out.dtype != np.float64:
-        raise ConfigError(f"out must be {n}x{n} float64, got {out.shape} {out.dtype}")
-    elif np.may_share_memory(out, a) or np.may_share_memory(out, b):
-        raise ConfigError("out must not share memory with A or B")
-    elif np.may_share_memory(out, c) and (out.ctypes.data, out.strides) != (c.ctypes.data,
-                                                                              c.strides):
-        raise ConfigError("out must not share memory with C other than as C itself")
+    if np.may_share_memory(c, a) or np.may_share_memory(c, b):
+        raise ConfigError("C must not share memory with A or B")
     rows = max(1, GEMM_BLOCK // max(n, 1))
     acc_buf = _aligned_empty((min(rows, n), n))
     prod_buf = _aligned_empty(acc_buf.shape)
@@ -91,8 +82,7 @@ def reference_gemm(a, b, c, alpha: float = 1.0, beta: float = 1.0,
             np.add(acc, prod, out=acc)
         np.multiply(alpha, acc, out=acc)
         np.multiply(beta, c[i0:i1], out=prod)
-        np.add(acc, prod, out=out[i0:i1])
-    return out
+        np.add(acc, prod, out=c[i0:i1])
 
 
 CHECKSUM_CHUNK = 1 << 14  # elements summed per np.add.accumulate call
@@ -124,7 +114,7 @@ class Backend:
     """A DGEMM implementation, with DGEMM's contract.
 
     run(a, b, c, alpha, beta) overwrites c with alpha*A*B + beta*C and
-    returns None; a and b are left unchanged.
+    returns None; a and b are left unchanged.  reference_gemm is one.
     """
 
     run: object
@@ -151,11 +141,7 @@ def backend_ids() -> tuple[str, ...]:
     return tuple(sorted(_BACKENDS))
 
 
-def _reference_in_place(a, b, c, alpha, beta) -> None:
-    reference_gemm(a, b, c, alpha, beta, out=c)
-
-
-register_backend("reference", Backend(run=_reference_in_place))
+register_backend("reference", Backend(run=reference_gemm))
 
 
 def make_subprocess_backend(command: list[str], workdir) -> Backend:

@@ -42,7 +42,7 @@ class SweepPlan:
 
 @dataclass(frozen=True)
 class ModelPlan:
-    lanes: int = 1  # the tile is model.schedule_for_lanes(lanes)
+    lanes: int = 1  # the tile is derived from it: model.Schedule(lanes).tile
     # Run-time guard: scoring costs ~N^3 port cycles per spec, while memory
     # stays O(N^2) plus about two blocks.
     max_n_dim: int = 1024

@@ -24,39 +24,33 @@ class Schedule:
     """Lane multiplexing model: interleaved logical threads per FMA port.
 
     `lanes` threads round-robin on one port, each owning one output cell of
-    a (tm, tn) tile; tiles are traversed row-major with the k-loop inside.
-    This is a declared model of warp/SMT time multiplexing, not a claim
-    about any vendor kernel's real schedule.
+    a tile of `lanes` cells; tiles are traversed row-major with the k-loop
+    inside.  This is a declared model of warp/SMT time multiplexing, not a
+    claim about any vendor kernel's real schedule.
     """
 
     lanes: int = 1
-    tile: tuple[int, int] = (1, 1)
 
     def __post_init__(self):
         if self.lanes < 1:
             raise ConfigError(f"lanes must be >= 1, got {self.lanes}")
-        tm, tn = self.tile
-        if tm < 1 or tn < 1:
-            raise ConfigError(f"tile dims must be positive, got {self.tile}")
-        if (tm * tn) % self.lanes:
-            raise ConfigError(
-                f"tile of {tm * tn} cells does not divide evenly into "
-                f"{self.lanes} lanes"
-            )
+
+    @property
+    def tile(self) -> tuple[int, int]:
+        """The most square (tm, tn) tile of `lanes` cells, tm <= tn.
+
+        A square footprint avoids degenerate operand sharing (a 1xL tile
+        reads the same A element on every lane of a cycle, which suppresses
+        A-word toggles for high-entropy inputs and skews comparisons across
+        patterns).
+        """
+        tm = next(c for c in range(math.isqrt(self.lanes), 0, -1) if self.lanes % c == 0)
+        return tm, self.lanes // tm
 
 
 def schedule_for_lanes(lanes: int) -> Schedule:
-    """Default schedule: one lane-group per most-square tile of `lanes` cells.
-
-    A square footprint avoids degenerate operand sharing (a 1xL group reads
-    the same A element on every lane of a cycle, which suppresses A-word
-    toggles for high-entropy inputs and skews comparisons across patterns).
-    """
-    tm = 1
-    for cand in range(1, math.isqrt(max(lanes, 0)) + 1):  # lanes < 1: Schedule rejects it
-        if lanes % cand == 0:
-            tm = cand
-    return Schedule(lanes=lanes, tile=(tm, lanes // tm))
+    """The schedule of `lanes` lanes; its tile follows from the lane count."""
+    return Schedule(lanes)
 
 
 @dataclass(frozen=True)
@@ -85,24 +79,32 @@ class ToggleReport:
 
 
 # Accumulator words per block of the toggle counter: one word per lane of
-# each lane-group in the block (128 KiB of float64).  Blocks hold whole tile
+# each tile in the block (128 KiB of float64).  Blocks hold whole tile
 # rows, so a block is at least one tile row (tm * n_dim words).  The
 # multiplier copies are XORed in chunks of about as many words.
 ACC_BLOCK = 1 << 14
 
 
-def _tile_grid(n: int, schedule: Schedule) -> tuple[int, int]:
-    """Number of tile rows and tile columns in an n x n output."""
+def _tile(n: int, schedule: Schedule) -> tuple[int, int]:
+    """The schedule's tile, checked to divide an n x n output.
+
+    More lanes than output cells are refused before the tile is factored,
+    which bounds the factoring loop by n.
+    """
+    lanes = schedule.lanes
+    if lanes > n * n:
+        raise ConfigError(f"lanes={lanes} exceeds the {n * n} cells of an n_dim={n} output")
     tm, tn = schedule.tile
     if n % tm or n % tn:
-        raise ConfigError(f"tile {schedule.tile} does not divide n_dim {n}")
-    return n // tm, n // tn
+        raise ConfigError(f"lanes={lanes} gives a {tm}x{tn} tile, "
+                          f"which does not divide n_dim={n}")
+    return tm, tn
 
 
 def _output_order(n: int, schedule: Schedule) -> tuple[np.ndarray, np.ndarray]:
     """Row/col indices of output cells in tile-row-major order."""
-    tm, tn = schedule.tile
-    shape = (*_tile_grid(n, schedule), tm, tn)  # (tile row, tile col, di, dj)
+    tm, tn = _tile(n, schedule)
+    shape = (n // tm, n // tn, tm, tn)  # (tile row, tile col, di, dj)
     rows = np.arange(0, n, tm)[:, None, None, None] + np.arange(tm)[:, None]
     cols = np.arange(0, n, tn)[:, None, None] + np.arange(tn)
     return np.broadcast_to(rows, shape).ravel(), np.broadcast_to(cols, shape).ravel()
@@ -128,16 +130,16 @@ def _group_block(a: np.ndarray, bt: np.ndarray, rows: np.ndarray,
 def operand_stream(pair: MatrixPair, schedule: Schedule = Schedule()) -> FmaStream:
     """The merged FMA-port operand stream, built whole (O(N^3) memory).
 
-    Each lane-group of `lanes` consecutive output cells shares the port;
-    within a group the k-loop advances once per round-robin pass, so
-    consecutive port cycles alternate lanes.  Accumulators run the actual
-    arithmetic (product then add per cycle), so zero-propagation effects
-    in the dot products show up in the accumulator word naturally.
+    Each tile's `lanes` output cells share the port; within a tile the
+    k-loop advances once per round-robin pass, so consecutive port cycles
+    alternate lanes.  Accumulators run the actual arithmetic (product then
+    add per cycle), so zero-propagation effects in the dot products show up
+    in the accumulator word naturally.
 
     score_spec counts the same toggles without building this stream; this
     is the reference it is tested against.
     """
-    rows, cols = _output_order(pair.spec.n_dim, schedule)
+    rows, cols = _output_order(pair.a.shape[0], schedule)
     lanes = schedule.lanes
     return _group_block(pair.a, np.ascontiguousarray(pair.b.T),
                         rows.reshape(-1, lanes), cols.reshape(-1, lanes))
@@ -178,55 +180,52 @@ def score_spec(spec, schedule: Schedule = Schedule()) -> ToggleReport:
     """Generate a spec's matrices and score their port stream.
 
     The totals equal toggle_score(operand_stream(pair, schedule)), but the
-    stream is never built.  A lane-group's A words depend only on its tile
-    row and its place in the tile, and its B words only on its tile column,
-    so their in-group toggles are counted once on N^2-sized copies and
-    multiplied by the number of tile columns (A) or rows (B).  Accumulator
-    words are made k-outer, one k step of every lane-group in a block of
-    tile rows at a time, with the same adds in the same order as the
-    stream.  Toggles between consecutive lane-groups are counted last,
-    from each group's first and last words.  Memory is O(N^2): the
-    matrices, the two copies and about two blocks.
+    stream is never built.  A tile's A words depend only on its tile row,
+    and its B words only on its tile column, so their in-tile toggles are
+    counted once on N^2-sized copies and multiplied by the number of tile
+    columns (A) or rows (B).  Accumulator words are made k-outer, one k
+    step of every tile in a block of tile rows at a time, with the same
+    adds in the same order as the stream.  Toggles between consecutive
+    tiles are counted last, from each tile's first and last words.  Memory
+    is O(N^2): the matrices, the two copies and about two blocks.
     """
     from .patterns import generate
 
     n, lanes = spec.n_dim, schedule.lanes
-    tm, tn = schedule.tile
-    tile_rows, tile_cols = _tile_grid(n, schedule)
-    tile_groups = tm * tn // lanes
-    cell = np.arange(tm * tn).reshape(tile_groups, lanes).T  # [l, g]: cell in its tile
-    # a2[k, l, R, g] = a[row of lane l of group g in tile row R, k];
-    # b2[k, l, C, g] = b[k, column of lane l of group g in tile column C].
+    tm, tn = _tile(n, schedule)
+    tile_rows, tile_cols = n // tm, n // tn
+    lane = np.arange(lanes)[:, None]  # lane l owns cell (l // tn, l % tn) of its tile
+    # a2[k, l, R] = a[row of lane l in tile row R, k];
+    # b2[k, l, C] = b[k, column of lane l in tile column C].
     # Each matrix is dropped once its copy is made, to keep the peak low.
     pair = generate(spec)
     b = pair.b
-    a2 = np.take(pair.a.T, np.arange(0, n, tm)[:, None] + cell[:, None] // tn, axis=1)
+    a2 = np.take(pair.a.T, np.arange(0, n, tm) + lane // tn, axis=1)
     del pair
-    b2 = np.take(b, np.arange(0, n, tn)[:, None] + cell[:, None] % tn, axis=1)
+    b2 = np.take(b, np.arange(0, n, tn) + lane % tn, axis=1)
     del b
 
-    grid = (2, tile_rows, tile_cols, tile_groups)
+    grid = (2, tile_rows, tile_cols)
     mul = 0
     for copy, repeats, ends in (
-            (a2, tile_cols, a2[[0, -1], [0, -1]][:, :, None, :]),  # (2, R, 1, g)
-            (b2, tile_rows, b2[[0, -1], [0, -1]][:, None])):       # (2, 1, C, g)
+            (a2, tile_cols, a2[[0, -1], [0, -1]][:, :, None]),  # (2, R, 1)
+            (b2, tile_rows, b2[[0, -1], [0, -1]][:, None])):    # (2, 1, C)
         runs = copy.reshape(n * lanes, -1)
         rows = max(1, ACC_BLOCK // runs.shape[1])
         mul += repeats * sum(_toggles(runs[t:t + rows + 1])  # one row overlap
                              for t in range(0, len(runs) - 1, rows))
         mul += _toggles(*np.broadcast_to(ends, grid).reshape(2, -1))
 
-    row_groups = tile_cols * tile_groups  # lane-groups per tile row
     step = max(1, ACC_BLOCK // (tm * n))  # tile rows per block
-    width = min(step, tile_rows) * row_groups
+    width = min(step, tile_rows) * tile_cols
     accs, prods = np.empty((lanes + 1) * width), np.empty(lanes * width)
-    first, last = np.empty((2, tile_rows * row_groups), dtype=np.uint64)
+    first, last = np.empty((2, tile_rows * tile_cols), dtype=np.uint64)
     acc = 0
     for r0 in range(0, tile_rows, step):
         r1 = min(r0 + step, tile_rows)
-        groups = slice(r0 * row_groups, r1 * row_groups)
-        m = (r1 - r0) * row_groups
-        # y[1 + l, g] is lane l's accumulator in the block's g-th group and
+        tiles = slice(r0 * tile_cols, r1 * tile_cols)
+        m = (r1 - r0) * tile_cols
+        # y[1 + l, t] is lane l's accumulator in the block's t-th tile and
         # y[0] the last lane's one cycle earlier, so the words of a k step
         # run down axis 0 (at k = 0, y[0] has no word to toggle from).
         # -0.0 is the additive identity, so the first add leaves the first
@@ -234,9 +233,9 @@ def score_spec(spec, schedule: Schedule = Schedule()) -> ToggleReport:
         y = accs[:(lanes + 1) * m].reshape(lanes + 1, m)
         y.fill(-0.0)
         prod = prods[:lanes * m].reshape(lanes, m)
-        products = prod.reshape(lanes, r1 - r0, tile_cols, tile_groups)
+        products = prod.reshape(lanes, r1 - r0, tile_cols)
         words, toggled = y.view(np.uint64), prod.view(np.uint64)
-        a_blk = a2[:, :, r0:r1, None, :]
+        a_blk = a2[:, :, r0:r1, None]
         for k in range(n):  # k outer: ascending, one add per cycle and lane
             np.multiply(a_blk[k], b2[k, :, None], out=products)
             y[0] = y[-1]
@@ -244,8 +243,8 @@ def score_spec(spec, schedule: Schedule = Schedule()) -> ToggleReport:
             np.bitwise_xor(words[1:], words[:-1], out=toggled)
             acc += int(np.bitwise_count(toggled[0 if k else 1:]).sum())
             if k == 0:
-                first[groups] = words[1]
-        last[groups] = words[-1]
+                first[tiles] = words[1]
+        last[tiles] = words[-1]
     acc += _toggles(first, last)
     return _report(n ** 3, mul, acc)
 

@@ -32,7 +32,6 @@ class MatrixPair:
 
     a: np.ndarray
     b: np.ndarray
-    spec: PatternSpec
 
 
 def masks(spec: PatternSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -127,7 +126,7 @@ def generate(spec: PatternSpec) -> MatrixPair:
 
     a.setflags(write=False)
     b.setflags(write=False)
-    return MatrixPair(a=a, b=b, spec=spec)
+    return MatrixPair(a=a, b=b)
 
 
 def dump_matrix(matrix: np.ndarray, path) -> None:

@@ -107,7 +107,8 @@ def test_criterion_4_gemm_oracle_equivalence(capsys):
             n = py_rng.randint(2, 64)
             a, b, c = rng.random((n, n)), rng.random((n, n)), rng.random((n, n))
             alpha, beta = py_rng.random(), py_rng.random()
-            got = reference_gemm(a, b, c, alpha, beta)
+            got = c.copy()
+            reference_gemm(a, b, got, alpha, beta)
             # independent oracle: scalar accumulation via Python floats
             want = np.empty((n, n))
             al, bl, cl = a.tolist(), b.tolist(), c.tolist()
@@ -121,7 +122,8 @@ def test_criterion_4_gemm_oracle_equivalence(capsys):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
         for n in (4, 64, 256):
             pair = generate(PatternSpec(family="baseline_fixed", n_dim=n))
-            out = reference_gemm(pair.a, pair.b, np.ones((n, n)))
+            out = np.ones((n, n))
+            reference_gemm(pair.a, pair.b, out)
             assert np.all(out == n + 1), n
 
     _report(capsys, 4, "reference GEMM bit-identical to naive oracle; "

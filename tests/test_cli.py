@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -747,6 +748,20 @@ def test_score_budget_guard(tmp_path):
         pattern=PatternSpec(family="baseline_random", n_dim=4096, seed=0),
     )
     assert main(["--manifest", str(manifest), "score"]) == 2
+
+
+@pytest.mark.parametrize("lanes,message", [
+    (3, "lanes=3 gives a 1x3 tile, which does not divide n_dim=64"),
+    # refused before the tile is factored, which would take ~10**9 steps
+    (10**18, f"lanes={10**18} exceeds the 4096 cells of an n_dim=64 output"),
+])
+def test_score_refuses_a_lane_count_whose_tile_cannot_fit(tmp_path, capsys, lanes, message):
+    manifest = write_manifest(tmp_path / "m.ini", model=ModelPlan(lanes=lanes))
+    start = time.perf_counter()
+    assert main(["--manifest", str(manifest), "score"]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("via_option", [False, True])

@@ -37,22 +37,25 @@ def test_identity_case():
     a = np.eye(2)
     b = np.array([[1.0, 2.0], [3.0, 4.0]])
     c = np.zeros((2, 2))
-    np.testing.assert_array_equal(reference_gemm(a, b, c), b)
+    assert reference_gemm(a, b, c) is None
+    np.testing.assert_array_equal(c, b)
 
 
 def test_hand_derived_case():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     b = np.array([[5.0, 6.0], [7.0, 8.0]])
     c = np.ones((2, 2))
-    out = reference_gemm(a, b, c, alpha=2.0, beta=3.0)
-    np.testing.assert_array_equal(out, [[41.0, 47.0], [89.0, 103.0]])
+    reference_gemm(a, b, c, alpha=2.0, beta=3.0)
+    np.testing.assert_array_equal(c, [[41.0, 47.0], [89.0, 103.0]])
 
 
 def test_alpha_zero_leaves_c():
     rng = np.random.default_rng(0)
     a, b = rng.random((4, 4)), rng.random((4, 4))
     c = rng.random((4, 4))
-    np.testing.assert_array_equal(reference_gemm(a, b, c, alpha=0.0, beta=1.0), c)
+    got = c.copy()
+    reference_gemm(a, b, got, alpha=0.0, beta=1.0)
+    np.testing.assert_array_equal(got, c)
 
 
 def test_gemm_blocks_start_on_a_cache_line():
@@ -73,7 +76,8 @@ def test_bit_for_bit_vs_naive_oracle():
         n = int(rng.integers(2, 17))
         a, b, c = rng.random((n, n)), rng.random((n, n)), rng.random((n, n))
         alpha, beta = float(rng.random()), float(rng.random())
-        got = reference_gemm(a, b, c, alpha, beta)
+        got = c.copy()
+        reference_gemm(a, b, got, alpha, beta)
         want = naive_gemm(a.tolist(), b.tolist(), c.tolist(), alpha, beta)
         np.testing.assert_array_equal(
             got.view(np.uint64), want.view(np.uint64)
@@ -94,16 +98,16 @@ def test_row_blocks_match_naive_oracle(monkeypatch, n, block_rows):
         (a, b, c),
         (a.T, b.T, c.T),
         (np.asfortranarray(a), np.asfortranarray(b), np.asfortranarray(c)),
-        tuple(rng.integers(-9, 10, (3, n, n))),
+        (*rng.integers(-9, 10, (2, n, n)), rng.integers(-9, 10, (n, n)).astype(np.float64)),
     ]
     for a, b, c in cases:
-        saved = [m.copy() for m in (a, b, c)]
-        got = reference_gemm(a, b, c, 1.5, -0.75)
+        saved = a.copy(), b.copy()
+        got = c.copy(order="K")  # keeps c's layout: C order, transposed or Fortran
+        reference_gemm(a, b, got, 1.5, -0.75)
         want = naive_gemm(a.tolist(), b.tolist(), c.tolist(), 1.5, -0.75)
         assert_same_bits(got, want)
-        for m, before in zip((a, b, c), saved):
+        for m, before in zip((a, b), saved):
             np.testing.assert_array_equal(m, before)
-        assert not np.shares_memory(got, c)
 
 
 def test_special_values_match_scalar_loop():
@@ -116,64 +120,49 @@ def test_special_values_match_scalar_loop():
             mats = rng.standard_normal((3, n, n))
             mask = rng.random(mats.shape) < 0.4
             mats[mask] = rng.choice(specials, int(mask.sum()))
+            got = mats[2].copy()
             with np.errstate(all="ignore"):
-                got = reference_gemm(*mats, alpha, beta)
+                reference_gemm(mats[0], mats[1], got, alpha, beta)
             want = naive_gemm(*(m.tolist() for m in mats), alpha, beta)
             nan = np.isnan(want)
             np.testing.assert_array_equal(np.isnan(got), nan)
             assert_same_bits(got[~nan], want[~nan])
     # -0.0 products summed from +0.0 give +0.0, as in the scalar loop
-    assert_same_bits(reference_gemm([[-0.0]], [[1.0]], [[-0.0]], beta=0.0),
-                     np.array([[0.0]]))
+    got = np.array([[-0.0]])
+    reference_gemm([[-0.0]], [[1.0]], got, beta=0.0)
+    assert_same_bits(got, np.array([[0.0]]))
 
 
 def test_overflow_and_invalid_still_warn():
     big = np.full((2, 2), 1e300)
+    out = np.zeros((2, 2))
     with pytest.warns(RuntimeWarning, match="overflow"):
-        out = reference_gemm(big, big, np.zeros((2, 2)))
+        reference_gemm(big, big, out)
     assert np.all(out == np.inf)
+    out = np.zeros((2, 2))
     with pytest.warns(RuntimeWarning, match="invalid"):
-        out = reference_gemm([[np.inf, -np.inf], [1.0, 1.0]], np.ones((2, 2)),
-                             np.zeros((2, 2)))
+        reference_gemm([[np.inf, -np.inf], [1.0, 1.0]], np.ones((2, 2)), out)
     assert np.isnan(out[0]).all() and np.all(out[1] == 2.0)
-
-
-def test_working_memory_is_output_plus_two_blocks(traced_peak):
-    n = 256
-    rng = np.random.default_rng(1)
-    a, b, c = rng.random((3, n, n))
-    peak = traced_peak(lambda: reference_gemm(a, b, c, 1.5, 0.5))
-    assert peak < 2_000_000, peak  # 512 KiB output + 2 x 256 KiB blocks
 
 
 def test_in_place_working_memory_is_two_blocks(traced_peak):
     n = 256
     rng = np.random.default_rng(1)
     a, b, c = rng.random((3, n, n))
-    peak = traced_peak(lambda: reference_gemm(a, b, c, 1.5, 0.5, out=c))
+    peak = traced_peak(lambda: reference_gemm(a, b, c, 1.5, 0.5))
     assert peak < 800_000, peak  # 2 x 256 KiB blocks and numpy's ufunc buffers
 
 
-@pytest.mark.parametrize("n", [1, 5, 64])
-def test_in_place_result_has_the_same_bits(monkeypatch, n):
-    monkeypatch.setattr(gemm, "GEMM_BLOCK", 3 * n)  # several row blocks
-    rng = np.random.default_rng(n)
-    a, b, c = rng.standard_normal((3, n, n))
-    want = reference_gemm(a, b, c, 1.5, -0.75)
-    saved = a.copy(), b.copy()
-    assert reference_gemm(a, b, c, 1.5, -0.75, out=c) is c
-    assert_same_bits(c, want)
-    for m, before in zip((a, b), saved):
-        np.testing.assert_array_equal(m, before)
-
-
-def test_out_that_may_share_memory_with_an_operand_is_refused():
+def test_c_that_may_share_memory_with_an_operand_is_refused():
     rng = np.random.default_rng(2)
     a, b, c = rng.random((3, 4, 4))
     saved = [m.copy() for m in (a, b, c)]
-    for out in (a, b, b[::-1], c.T, np.empty((4, 5)), np.empty((4, 4), dtype=np.float32)):
-        with pytest.raises(ConfigError, match="out"):
-            reference_gemm(a, b, c, out=out)
+    for bad in (a, b, a[::-1], a.T, b[::-1]):
+        with pytest.raises(ConfigError, match="share memory"):
+            reference_gemm(a, b, bad)
+    for bad in (np.empty((4, 5)), np.empty((4, 4), dtype=np.float32), c.tolist()):
+        with pytest.raises(ConfigError, match="C must|operands must"):
+            reference_gemm(a, b, bad)
     for m, before in zip((a, b, c), saved):
         np.testing.assert_array_equal(m, before)
 
@@ -186,8 +175,8 @@ def test_baseline_fixed_closed_form(n):
 
     pair = generate(spec)
     c = np.full((n, n), initial_c(spec))
-    out = reference_gemm(pair.a, pair.b, c, config.alpha, config.beta)
-    assert np.all(out == n + 1)
+    reference_gemm(pair.a, pair.b, c, config.alpha, config.beta)
+    assert np.all(c == n + 1)
 
 
 def test_flop_count_examples():

@@ -18,10 +18,6 @@ from entrobench.patterns import Family, MatrixPair, PatternSpec, ValueMode, gene
 def test_schedule_validation():
     with pytest.raises(ConfigError):
         Schedule(lanes=0)
-    with pytest.raises(ConfigError):
-        Schedule(lanes=3, tile=(2, 2))
-    with pytest.raises(ConfigError):
-        Schedule(lanes=1, tile=(0, 1))
 
 
 @pytest.mark.parametrize("lanes,tile", [(1, (1, 1)), (4, (2, 2)),
@@ -60,7 +56,9 @@ def test_stream_definition_single_lane():
 def test_stream_matches_scalar_tiled_schedule(lanes, tile):
     n = 8
     pair = generate(PatternSpec(family="sparse_rowcol", n_dim=n, level=1, seed=6))
-    stream = operand_stream(pair, Schedule(lanes=lanes, tile=tile))
+    schedule = Schedule(lanes=lanes)
+    assert schedule.tile == tile
+    stream = operand_stream(pair, schedule)
 
     tm, tn = tile
     cells = [(ti + di, tj + dj)
@@ -85,7 +83,7 @@ def test_stream_matches_scalar_tiled_schedule(lanes, tile):
 def test_stream_round_robin_two_lanes():
     spec = PatternSpec(family="baseline_random", n_dim=2, seed=1)
     pair = generate(spec)
-    stream = operand_stream(pair, Schedule(lanes=2, tile=(1, 2)))
+    stream = operand_stream(pair, Schedule(lanes=2))
     # lane group = cells (0,0),(0,1): cycles alternate lanes with k inside
     a, b = pair.a, pair.b
     head_a = [a[0, 0], a[0, 0], a[0, 1], a[0, 1]]
@@ -129,12 +127,18 @@ def test_empty_stream_rejected():
         toggle_score(FmaStream(a_vals=empty, b_vals=empty, acc_vals=empty))
 
 
-def test_tile_must_divide_dimension():
+@pytest.mark.parametrize("lanes,message", [
+    (3, "lanes=3 gives a 1x3 tile, which does not divide n_dim=4"),
+    # refused before the tile is factored: 17 would give a 1x17 tile
+    (17, "lanes=17 exceeds the 16 cells of an n_dim=4 output"),
+    (10**18, f"lanes={10**18} exceeds the 16 cells of an n_dim=4 output"),
+])
+def test_tile_must_divide_dimension(lanes, message):
     spec = PatternSpec(family="baseline_random", n_dim=4, seed=0)
-    with pytest.raises(ConfigError):
-        operand_stream(generate(spec), Schedule(lanes=3, tile=(1, 3)))
-    with pytest.raises(ConfigError):
-        score_spec(spec, Schedule(lanes=3, tile=(1, 3)))
+    with pytest.raises(ConfigError, match=message):
+        operand_stream(generate(spec), Schedule(lanes=lanes))
+    with pytest.raises(ConfigError, match=message):
+        score_spec(spec, Schedule(lanes=lanes))
 
 
 def test_random_scores_above_fixed_baseline():
@@ -186,16 +190,13 @@ def test_score_is_deterministic():
     assert first == second
 
 
-@pytest.mark.parametrize("lanes,tile", [(1, (1, 1)), (2, (1, 2)),
-                                        (4, (2, 2)), (8, (2, 4)),
-                                        (2, (2, 2)), (2, (4, 2)),
-                                        (1, (2, 2)), (6, (2, 3))])
+@pytest.mark.parametrize("lanes", [1, 2, 4, 8, 16, 32, 256, 6])
 @pytest.mark.parametrize("mode", list(ValueMode))
 @pytest.mark.parametrize("family", list(Family))
-def test_block_streamed_toggles_equal_whole_stream(family, mode, lanes, tile,
-                                                   monkeypatch):
+def test_block_streamed_toggles_equal_whole_stream(family, mode, lanes, monkeypatch):
     n = 16
-    schedule = Schedule(lanes=lanes, tile=tile)
+    schedule = Schedule(lanes=lanes)
+    tile = schedule.tile  # 256 lanes: one 16x16 tile covers the output
     spec = PatternSpec(family=family, n_dim=n, level=2, value_mode=mode, seed=4)
     if n % tile[1]:  # no power-of-two n_dim takes a tile 3 wide
         with pytest.raises(ConfigError):
@@ -208,25 +209,23 @@ def test_block_streamed_toggles_equal_whole_stream(family, mode, lanes, tile,
     assert score_spec(spec, schedule) == expected
 
     # one tile row per block, then 3 tile rows per block (3 divides no
-    # tile-row count here, so the last block is short); groups smaller
-    # than a tile put group boundaries inside tiles as well
+    # tile-row count here, so the last block is short)
     for block in (1, 3 * tile[0] * n):
         monkeypatch.setattr(model, "ACC_BLOCK", block)
         assert score_spec(spec, schedule) == expected
 
 
-@pytest.mark.parametrize("lanes,tile", [(1, (1, 1)), (4, (2, 2)), (2, (1, 4))])
-def test_score_spec_keeps_signed_zeros_and_subnormals(lanes, tile, monkeypatch):
+@pytest.mark.parametrize("lanes", [1, 2, 4])
+def test_score_spec_keeps_signed_zeros_and_subnormals(lanes, monkeypatch):
     # patterns hold no negative values; these operands make -0.0 first
     # products and sign changes in the accumulators, and stay finite
     n = 8
     rng = np.random.default_rng(5)
     values = np.array([-1.5, -0.0, 0.0, 0.75, 3.0, -2.5e-310])
     spec = PatternSpec(family="baseline_random", n_dim=n)
-    pair = MatrixPair(a=rng.choice(values, (n, n)), b=rng.choice(values, (n, n)),
-                      spec=spec)
+    pair = MatrixPair(a=rng.choice(values, (n, n)), b=rng.choice(values, (n, n)))
     monkeypatch.setattr(patterns, "generate", lambda _: pair)
-    schedule = Schedule(lanes=lanes, tile=tile)
+    schedule = Schedule(lanes=lanes)
     expected = toggle_score(operand_stream(pair, schedule))
     for block in (1, model.ACC_BLOCK):
         monkeypatch.setattr(model, "ACC_BLOCK", block)
