@@ -265,6 +265,10 @@ def cmd_replay(inputs, out: Path, plan: AnalysisPlan) -> int:
 
 
 def cmd_score(m: ExperimentManifest, out: Path) -> int:
+    """Score each spec in sweep order; print them ranked, write score.csv in key order.
+
+    The ranking is by descending score_per_flop, and a stable sort keeps ties in sweep order.
+    """
     from . import model
     plan, pattern = m.model, m.config.pattern
     if pattern.n_dim > plan.max_n_dim:
@@ -275,13 +279,15 @@ def cmd_score(m: ExperimentManifest, out: Path) -> int:
         )
     specs = m.sweep_specs() if m.sweep is not None and not pattern.is_baseline else [pattern]
 
-    ranked = model.predict_ordering(specs, model.schedule_for_lanes(plan.lanes))
+    schedule = model.schedule_for_lanes(plan.lanes)
+    scored = [(spec, model.score_spec(spec, schedule)) for spec in specs]
+    ranked = sorted(scored, key=lambda sr: -sr[1].score_per_flop)
     for rank, (spec, report) in enumerate(ranked, start=1):
         print(f"#{rank} {spec.family.value} L{spec.level} {spec.value_mode.value} "
               f"score={report.score_per_flop:.3f}")
 
     by_key = sorted(
-        ranked, key=lambda sr: (sr[0].family.value, sr[0].value_mode.value, sr[0].level)
+        scored, key=lambda sr: (sr[0].family.value, sr[0].value_mode.value, sr[0].level)
     )
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "score.csv", SCORE_HEADER, (

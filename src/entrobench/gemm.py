@@ -40,6 +40,12 @@ def _aligned_empty(shape: tuple[int, int]) -> np.ndarray:
     return raw[start:start + size].reshape(shape)
 
 
+def _check_writable(c: np.ndarray) -> None:
+    """Refuse a read-only C before a backend does any work."""
+    if not c.flags.writeable:
+        raise ConfigError("C is read-only, but a backend overwrites it in place")
+
+
 def reference_gemm(a, b, c: np.ndarray, alpha: float = 1.0, beta: float = 1.0) -> None:
     """C <- alpha*A*B + beta*C in place, with ascending-k per-cell summation.
 
@@ -55,16 +61,17 @@ def reference_gemm(a, b, c: np.ndarray, alpha: float = 1.0, beta: float = 1.0) -
     order, so it may differ.  Overflow and invalid-operation
     RuntimeWarnings are raised as numpy raises them.
 
-    C must be an N x N float64 ndarray.  Each block of C is read before it
-    is written, so working memory is only the two blocks.  A C that may
-    share memory with A or B raises ConfigError, since a written block
-    would change operands that later blocks read.
+    C must be a writable N x N float64 ndarray.  Each block of C is read
+    before it is written, so working memory is only the two blocks.  A C
+    that may share memory with A or B raises ConfigError, since a written
+    block would change operands that later blocks read.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     n = a.shape[0]
     if not isinstance(c, np.ndarray) or c.dtype != np.float64:
         raise ConfigError(f"C must be a float64 ndarray, got {getattr(c, 'dtype', type(c))}")
+    _check_writable(c)
     for m in (a, b, c):
         if m.shape != (n, n):
             raise ConfigError(f"operands must all be {n}x{n}, got {m.shape}")
@@ -157,11 +164,12 @@ def make_subprocess_backend(command: list[str], workdir) -> Backend:
     result.manifest, or a c_out missing or of the wrong size, raises
     SourceError; a c_out of the wrong size leaves c unchanged.  The program
     has read its inputs before c is written, so c may share memory with a
-    or b.
+    or b.  A read-only c raises ConfigError before any file is written.
     """
     workdir = Path(workdir)
 
     def run(a, b, c, alpha, beta):
+        _check_writable(c)
         workdir.mkdir(parents=True, exist_ok=True)
         n = a.shape[0]
         patterns.dump_matrix(a, workdir / "a.bin")
@@ -223,7 +231,8 @@ def run_experiment(
             sampler.start()
             started.append(sampler)
         except Exception as exc:  # noqa: BLE001 - degrade, don't abort
-            warnings.append(f"sampler {sampler.name} failed: {exc}")
+            # ";" separates a record's warnings
+            warnings.append(f"sampler {sampler.name} failed: {exc}".replace(";", ","))
 
     stopped = []  # each started sampler's timeline, or the error its stop() raised
     try:

@@ -66,16 +66,22 @@ class FmaStream:
     b_vals: np.ndarray
     acc_vals: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.a_vals)
-
 
 @dataclass(frozen=True)
 class ToggleReport:
+    """Toggle totals of one port stream; score_per_flop derives from them."""
+
     flops: int
     mul_input_toggles: int
     acc_toggles: int
-    score_per_flop: float
+
+    def __post_init__(self):
+        if self.flops < 1:
+            raise ConfigError("empty operand stream")
+
+    @property
+    def score_per_flop(self) -> float:
+        return (self.mul_input_toggles + self.acc_toggles) / self.flops
 
 
 # Accumulator words per block of the toggle counter: one word per lane of
@@ -157,23 +163,12 @@ def _toggles(first: np.ndarray, last: np.ndarray | None = None) -> int:
                                 ^ last.view(np.uint64)[:-1]).sum())
 
 
-def _report(flops: int, mul: int, acc: int) -> ToggleReport:
-    if flops == 0:
-        raise ConfigError("empty operand stream")
-    return ToggleReport(
-        flops=flops,
-        mul_input_toggles=mul,
-        acc_toggles=acc,
-        score_per_flop=(mul + acc) / flops,
-    )
-
-
 def toggle_score(stream: FmaStream) -> ToggleReport:
     """Cycle-to-cycle toggle totals over the port stream, per FLOP."""
     words = [np.ascontiguousarray(v, dtype=np.float64)
              for v in (stream.a_vals, stream.b_vals, stream.acc_vals)]
     mul = _toggles(words[0]) + _toggles(words[1])
-    return _report(len(stream), mul, _toggles(words[2]))
+    return ToggleReport(len(words[0]), mul, _toggles(words[2]))
 
 
 def score_spec(spec, schedule: Schedule = Schedule()) -> ToggleReport:
@@ -246,19 +241,4 @@ def score_spec(spec, schedule: Schedule = Schedule()) -> ToggleReport:
                 first[tiles] = words[1]
         last[tiles] = words[-1]
     acc += _toggles(first, last)
-    return _report(n ** 3, mul, acc)
-
-
-def predict_ordering(specs, schedule: Schedule = Schedule()):
-    """Rank specs by descending score_per_flop (ties keep input order).
-
-    Intended to be rank-correlated with measured power for a shared N.
-    """
-    specs = list(specs)
-    if not specs:
-        raise ConfigError("predict_ordering needs at least one spec")
-    dims = {s.n_dim for s in specs}
-    if len(dims) > 1:
-        raise ConfigError(f"all specs must share n_dim, got {sorted(dims)}")
-    scored = [(spec, score_spec(spec, schedule)) for spec in specs]
-    return sorted(scored, key=lambda pair: -pair[1].score_per_flop)  # stable: ties keep order
+    return ToggleReport(n ** 3, mul, acc)

@@ -71,10 +71,10 @@ def record_to_text(record: RunRecord) -> str:
 
 
 def record_from_text(text: str) -> RunRecord:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith(f"# {RECORD_SCHEMA}"):
+    schema, _, body = text.partition("\n")
+    if not schema.startswith(f"# {RECORD_SCHEMA}"):
         raise FormatError("unrecognized record schema version")
-    rows = list(csv.DictReader(lines[1:]))
+    rows = list(csv.DictReader(io.StringIO(body)))  # a quoted field may hold a line break
     if len(rows) != 1:
         raise FormatError(f"record file must hold exactly one row, got {len(rows)}")
     parts = {"config.pattern": {}, "config": {}, "": {}}
@@ -94,5 +94,5 @@ def write_record(record: RunRecord, path) -> None:
 
 
 def read_record(path) -> RunRecord:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:  # keep a field's "\r"
         return record_from_text(fh.read())

@@ -742,6 +742,27 @@ def test_score_writes_ranked_csv(tmp_path, capsys):
     assert ranked == sorted(ranked, reverse=True)
 
 
+def test_score_ranking_keeps_ties_in_sweep_order(tmp_path, capsys, monkeypatch):
+    from entrobench import model
+    tie = model.ToggleReport(flops=64, mul_input_toggles=10, acc_toggles=6)
+    monkeypatch.setattr(model, "score_spec", lambda spec, schedule: tie)
+    manifest = write_manifest(
+        tmp_path / "m.ini",
+        pattern=PatternSpec(family="sparse_rowcol", n_dim=4, seed=5),
+        sweep=SweepPlan(),
+    )
+    assert main(["--manifest", str(manifest), "score"]) == 0
+    # sweep order: value modes outer (independent first), levels ascending
+    sweep = [(mode, level) for mode in ("independent", "fixed_common") for level in range(3)]
+    assert capsys.readouterr().out.splitlines() == [
+        f"#{rank} sparse_rowcol L{level} {mode} score=0.250"
+        for rank, (mode, level) in enumerate(sweep, start=1)]
+    # score.csv stays in key order: value mode, then level
+    rows = read_csv(tmp_path / "out" / "score.csv")
+    assert [(r["value_mode"], r["level"]) for r in rows] == \
+        [(mode, str(level)) for mode in ("fixed_common", "independent") for level in range(3)]
+
+
 def test_score_budget_guard(tmp_path):
     manifest = write_manifest(
         tmp_path / "m.ini",

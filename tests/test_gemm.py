@@ -167,6 +167,14 @@ def test_c_that_may_share_memory_with_an_operand_is_refused():
         np.testing.assert_array_equal(m, before)
 
 
+def test_read_only_c_is_refused_before_any_work(monkeypatch):
+    a, b, c = np.random.default_rng(3).random((3, 4, 4))
+    c.setflags(write=False)
+    monkeypatch.setattr(gemm, "_aligned_empty", lambda shape: pytest.fail("work began"))
+    with pytest.raises(ConfigError, match="read-only"):
+        reference_gemm(a, b, c)
+
+
 @pytest.mark.parametrize("n", [4, 64])
 def test_baseline_fixed_closed_form(n):
     spec = PatternSpec(family="baseline_fixed", n_dim=n)
@@ -393,3 +401,17 @@ def test_subprocess_backend_without_a_readable_result_is_a_source_error(tmp_path
     fresh = make_subprocess_backend([sys.executable, str(bad)], tmp_path / "fresh")
     with pytest.raises(SourceError, match="no readable result"):
         fresh.run(a, a, a, 1.0, 1.0)
+
+
+def test_subprocess_backend_refuses_a_read_only_c_before_running(tmp_path):
+    script = tmp_path / "backend.py"
+    script.write_text("open('ran', 'w').close()\n" + BACKEND_SCRIPT)
+    work = tmp_path / "work"
+    backend = make_subprocess_backend([sys.executable, str(script)], work)
+    a, c = np.eye(4), np.ones((4, 4))
+    c.setflags(write=False)
+    with pytest.raises(ConfigError, match="read-only"):
+        backend.run(a, a, c, 1.0, 1.0)
+    assert not work.exists()  # no matrix written and the command never ran
+    backend.run(a, a, np.ones((4, 4)), 1.0, 1.0)
+    assert (work / "ran").exists()  # the marker shows when the command runs

@@ -7,7 +7,6 @@ from entrobench.model import (
     FmaStream,
     Schedule,
     operand_stream,
-    predict_ordering,
     schedule_for_lanes,
     score_spec,
     toggle_score,
@@ -33,7 +32,7 @@ def test_stream_definition_single_lane():
     pair = generate(spec)
     stream = operand_stream(pair)
     n = 4
-    assert len(stream) == n ** 3
+    assert len(stream.a_vals) == n ** 3
 
     a_expect, b_expect, acc_expect = [], [], []
     for i in range(n):
@@ -157,30 +156,6 @@ def test_sparse_score_monotone_in_level(family):
         for level in range(5)
     ]
     assert all(lo < hi for lo, hi in zip(scores, scores[1:]))
-
-
-def test_predict_ordering_random_first_fixed_last():
-    specs = [
-        PatternSpec(family="baseline_fixed", n_dim=16),
-        PatternSpec(family="baseline_random", n_dim=16, seed=5),
-        PatternSpec(family="sparse_rowcol", n_dim=16, level=1, seed=5),
-    ]
-    ranked = predict_ordering(specs)
-    families = [spec.family for spec, _ in ranked]
-    assert families[0] == "baseline_random"
-    assert families[-1] == "baseline_fixed"
-    scores = [rep.score_per_flop for _, rep in ranked]
-    assert scores == sorted(scores, reverse=True)
-
-
-def test_predict_ordering_rejects_mixed_sizes_and_empty():
-    with pytest.raises(ConfigError):
-        predict_ordering([])
-    with pytest.raises(ConfigError):
-        predict_ordering([
-            PatternSpec(family="baseline_fixed", n_dim=8),
-            PatternSpec(family="baseline_fixed", n_dim=16),
-        ])
 
 
 def test_score_is_deterministic():

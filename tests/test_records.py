@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from entrobench.errors import FormatError
-from entrobench.gemm import GemmConfig, RunRecord
+from entrobench.gemm import GemmConfig, RunRecord, run_experiment
 from entrobench.patterns import PatternSpec
 from entrobench.records import (
     RECORD_COLUMNS,
@@ -53,6 +53,22 @@ def test_text_is_pinned():
 
 def test_file_round_trip_without_timelines(tmp_path):
     record = dataclasses.replace(RECORD, timeline_ids=(), warnings=())
+    write_record(record, tmp_path / "record.csv")
+    assert read_record(tmp_path / "record.csv") == record
+
+
+def test_a_failed_samplers_warning_round_trips(tmp_path):
+    class BadSampler:
+        name = "bad"
+
+        def start(self):
+            raise RuntimeError("no; such\nsource\r")
+
+    config = GemmConfig(pattern=PatternSpec(family="baseline_fixed", n_dim=4),
+                        reps=1, warmup_seconds=0.0)
+    record, _ = run_experiment(config, samplers=[BadSampler()])
+    assert record.warnings == ("sampler bad failed: no, such\nsource\r",)
+    assert record_from_text(record_to_text(record)) == record
     write_record(record, tmp_path / "record.csv")
     assert read_record(tmp_path / "record.csv") == record
 
