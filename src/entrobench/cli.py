@@ -8,6 +8,7 @@ schedulers: 0 success, 2 configuration error, 3 source/backend error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
 from pathlib import Path
@@ -265,9 +266,10 @@ def cmd_replay(inputs, out: Path, plan: AnalysisPlan) -> int:
 
 
 def cmd_score(m: ExperimentManifest, out: Path) -> int:
-    """Score each spec in sweep order; print them ranked, write score.csv in key order.
+    """Score each spec in sweep order; write score.csv in key order, then print them ranked.
 
     The ranking is by descending score_per_flop, and a stable sort keeps ties in sweep order.
+    A reader that closes stdout early, such as `head`, cuts only the printed ranking.
     """
     from . import model
     plan, pattern = m.model, m.config.pattern
@@ -281,11 +283,6 @@ def cmd_score(m: ExperimentManifest, out: Path) -> int:
 
     schedule = model.schedule_for_lanes(plan.lanes)
     scored = [(spec, model.score_spec(spec, schedule)) for spec in specs]
-    ranked = sorted(scored, key=lambda sr: -sr[1].score_per_flop)
-    for rank, (spec, report) in enumerate(ranked, start=1):
-        print(f"#{rank} {spec.family.value} L{spec.level} {spec.value_mode.value} "
-              f"score={report.score_per_flop:.3f}")
-
     by_key = sorted(
         scored, key=lambda sr: (sr[0].family.value, sr[0].value_mode.value, sr[0].level)
     )
@@ -295,6 +292,19 @@ def cmd_score(m: ExperimentManifest, out: Path) -> int:
          report.mul_input_toggles, report.acc_toggles, report.flops)
         for spec, report in by_key
     ))
+
+    ranked = sorted(scored, key=lambda sr: -sr[1].score_per_flop)
+    try:
+        for rank, (spec, report) in enumerate(ranked, start=1):
+            print(f"#{rank} {spec.family.value} L{spec.level} {spec.value_mode.value} "
+                  f"score={report.score_per_flop:.3f}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone.  Closing stdout drops what it still buffers, so
+        # the interpreter's flush at exit has nothing left to fail on; close
+        # itself re-raises the flush's error after it has closed the stream.
+        with contextlib.suppress(BrokenPipeError):
+            sys.stdout.close()
     return EXIT_OK
 
 

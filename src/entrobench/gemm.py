@@ -59,7 +59,15 @@ def reference_gemm(a, b, c: np.ndarray, alpha: float = 1.0, beta: float = 1.0) -
     are in the same places, but where two NaNs meet, the sign of the result
     is unspecified by IEEE 754 and follows numpy's loop length and operand
     order, so it may differ.  Overflow and invalid-operation
-    RuntimeWarnings are raised as numpy raises them.
+    RuntimeWarnings are raised as numpy raises them, under the caller's
+    error state.
+
+    The kernel is not bound by memory traffic.  At numpy's default ufunc
+    buffer size (8192 elements) the broadcast multiply copies its N-long
+    rows through the iterator's buffers, which makes the kernel about
+    twice as slow.  The loop therefore runs with a buffer of about two
+    rows, set inside np.errstate, which gives the caller's buffer size
+    back on exit, also when a FloatingPointError is raised.
 
     C must be a writable N x N float64 ndarray.  Each block of C is read
     before it is written, so working memory is only the two blocks.  A C
@@ -80,16 +88,19 @@ def reference_gemm(a, b, c: np.ndarray, alpha: float = 1.0, beta: float = 1.0) -
     rows = max(1, GEMM_BLOCK // max(n, 1))
     acc_buf = _aligned_empty((min(rows, n), n))
     prod_buf = _aligned_empty(acc_buf.shape)
-    for i0 in range(0, n, rows):
-        i1 = min(i0 + rows, n)
-        acc, prod = acc_buf[:i1 - i0], prod_buf[:i1 - i0]
-        acc.fill(0.0)
-        for k in range(n):
-            np.multiply(a[i0:i1, k:k + 1], b[k], out=prod)
-            np.add(acc, prod, out=acc)
-        np.multiply(alpha, acc, out=acc)
-        np.multiply(beta, c[i0:i1], out=prod)
-        np.add(acc, prod, out=c[i0:i1])
+    with np.errstate():
+        # About 2 N elements; numpy refuses a size that is not a multiple of 16.
+        np.setbufsize(max(16, -(-2 * n // 16) * 16))
+        for i0 in range(0, n, rows):
+            i1 = min(i0 + rows, n)
+            acc, prod = acc_buf[:i1 - i0], prod_buf[:i1 - i0]
+            acc.fill(0.0)
+            for k in range(n):
+                np.multiply(a[i0:i1, k:k + 1], b[k], out=prod)
+                np.add(acc, prod, out=acc)
+            np.multiply(alpha, acc, out=acc)
+            np.multiply(beta, c[i0:i1], out=prod)
+            np.add(acc, prod, out=c[i0:i1])
 
 
 CHECKSUM_CHUNK = 1 << 14  # elements summed per np.add.accumulate call

@@ -763,6 +763,24 @@ def test_score_ranking_keeps_ties_in_sweep_order(tmp_path, capsys, monkeypatch):
         [(mode, str(level)) for mode in ("fixed_common", "independent") for level in range(3)]
 
 
+@pytest.mark.parametrize("line_buffered", [False, True])
+def test_score_survives_a_reader_that_closes_early(tmp_path, capsys, monkeypatch, line_buffered):
+    manifest = write_manifest(
+        tmp_path / "m.ini",
+        pattern=PatternSpec(family="sparse_rowcol", n_dim=16, seed=5),
+        sweep=SweepPlan(level_min=0, level_max=3),
+        model=ModelPlan(lanes=4),
+    )
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # as `score | head -n 1` once head has exited
+    with os.fdopen(write_end, "w", buffering=1 if line_buffered else -1) as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["--manifest", str(manifest), "score"]) == 0
+        monkeypatch.undo()
+    assert len(read_csv(tmp_path / "out" / "score.csv")) == 8
+    assert capsys.readouterr().err == ""
+
+
 def test_score_budget_guard(tmp_path):
     manifest = write_manifest(
         tmp_path / "m.ini",
