@@ -189,6 +189,25 @@ def discover_run_dirs(paths) -> list[Path]:
     return sorted({record.parent for path in paths for record in Path(path).glob("**/record.csv")})
 
 
+def _say(line: str) -> None:
+    """Print a line on stdout, and nothing more once its reader has gone.
+
+    A reader that closes the pipe early, such as `head`, cuts only what is
+    printed: every command still runs and writes all it would.  Each line
+    is flushed, so a gone reader is seen at once.
+    """
+    if sys.stdout.closed:
+        return
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        # Closing stdout drops what it still buffers, so the interpreter's
+        # flush at exit has nothing left to fail on; close itself re-raises
+        # the flush's error after it has closed the stream.
+        with contextlib.suppress(BrokenPipeError):
+            sys.stdout.close()
+
+
 def _run_points(points):
     """Run each (manifest, directory) point's repetitions, trying every run.
 
@@ -209,8 +228,8 @@ def _run_points(points):
                 errors.append(exc)
                 continue
             runs.append((record, row))
-            print(f"run {run_dir}: {row['family']} L{row['level']} "
-                  f"mean_w={records.encode(row['mean_w'], '') or 'n/a'}")
+            _say(f"run {run_dir}: {row['family']} L{row['level']} "
+                 f"mean_w={records.encode(row['mean_w'], '') or 'n/a'}")
     return runs, errors
 
 
@@ -261,7 +280,7 @@ def cmd_replay(inputs, out: Path, plan: AnalysisPlan) -> int:
         pct = analysis.percent_increase(baselines["baseline_random"], baselines["baseline_fixed"])
         line = f"percent_increase={pct:.2f}"
         write_file(out / "report.txt", line + "\n")
-        print(line)
+        _say(line)
     return EXIT_OK
 
 
@@ -269,7 +288,6 @@ def cmd_score(m: ExperimentManifest, out: Path) -> int:
     """Score each spec in sweep order; write score.csv in key order, then print them ranked.
 
     The ranking is by descending score_per_flop, and a stable sort keeps ties in sweep order.
-    A reader that closes stdout early, such as `head`, cuts only the printed ranking.
     """
     from . import model
     plan, pattern = m.model, m.config.pattern
@@ -294,17 +312,9 @@ def cmd_score(m: ExperimentManifest, out: Path) -> int:
     ))
 
     ranked = sorted(scored, key=lambda sr: -sr[1].score_per_flop)
-    try:
-        for rank, (spec, report) in enumerate(ranked, start=1):
-            print(f"#{rank} {spec.family.value} L{spec.level} {spec.value_mode.value} "
-                  f"score={report.score_per_flop:.3f}")
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader has gone.  Closing stdout drops what it still buffers, so
-        # the interpreter's flush at exit has nothing left to fail on; close
-        # itself re-raises the flush's error after it has closed the stream.
-        with contextlib.suppress(BrokenPipeError):
-            sys.stdout.close()
+    for rank, (spec, report) in enumerate(ranked, start=1):
+        _say(f"#{rank} {spec.family.value} L{spec.level} {spec.value_mode.value} "
+             f"score={report.score_per_flop:.3f}")
     return EXIT_OK
 
 
@@ -317,7 +327,7 @@ def cmd_fixtures(out: Path) -> int:
         run_dir.mkdir(exist_ok=True)
         _write_run_dir(run_dir, record, {record.timeline_ids[0]: timeline})
         count += 1
-    print(f"wrote {count} fixture runs to {out}")
+    _say(f"wrote {count} fixture runs to {out}")
     return EXIT_OK
 
 

@@ -86,8 +86,7 @@ class ToggleReport:
 
 # Accumulator words per block of the toggle counter: one word per lane of
 # each tile in the block (128 KiB of float64).  Blocks hold whole tile
-# rows, so a block is at least one tile row (tm * n_dim words).  The
-# multiplier copies are XORed in chunks of about as many words.
+# rows, so a block is at least one tile row (tm * n_dim words).
 ACC_BLOCK = 1 << 14
 
 
@@ -151,66 +150,62 @@ def operand_stream(pair: MatrixPair, schedule: Schedule = Schedule()) -> FmaStre
                         rows.reshape(-1, lanes), cols.reshape(-1, lanes))
 
 
-def _toggles(first: np.ndarray, last: np.ndarray | None = None) -> int:
-    """Toggles from each last[i] to first[i + 1], summed; last defaults to first.
+def _flips(x: np.ndarray, y: np.ndarray) -> int:
+    """Bits that differ between each word of x and its pair in y, summed.
 
-    On one (cycles, runs) array these are the toggles down axis 0, each
-    column one run; on lane-groups' first and last words, the toggles from
-    each group to the next.
+    x and y are arrays of 64-bit words of one shape, and may be strided
+    views.
     """
-    last = first if last is None else last
-    return int(np.bitwise_count(first.view(np.uint64)[1:]
-                                ^ last.view(np.uint64)[:-1]).sum())
+    return int(np.bitwise_count(x.view(np.uint64) ^ y.view(np.uint64)).sum())
 
 
 def toggle_score(stream: FmaStream) -> ToggleReport:
     """Cycle-to-cycle toggle totals over the port stream, per FLOP."""
-    words = [np.ascontiguousarray(v, dtype=np.float64)
-             for v in (stream.a_vals, stream.b_vals, stream.acc_vals)]
-    mul = _toggles(words[0]) + _toggles(words[1])
-    return ToggleReport(len(words[0]), mul, _toggles(words[2]))
+    a, b, acc = (np.asarray(v, dtype=np.float64)
+                 for v in (stream.a_vals, stream.b_vals, stream.acc_vals))
+    mul = _flips(a[1:], a[:-1]) + _flips(b[1:], b[:-1])
+    return ToggleReport(len(a), mul, _flips(acc[1:], acc[:-1]))
 
 
 def score_spec(spec, schedule: Schedule = Schedule()) -> ToggleReport:
     """Generate a spec's matrices and score their port stream.
 
     The totals equal toggle_score(operand_stream(pair, schedule)), but the
-    stream is never built.  A tile's A words depend only on its tile row,
-    and its B words only on its tile column, so their in-tile toggles are
-    counted once on N^2-sized copies and multiplied by the number of tile
+    stream is never built.  Lane l of a tile reads A row l // tn and B
+    column l % tn, so a tile's A words depend only on its tile row and its
+    B words only on its tile column.  Their toggles have closed forms on
+    views of A and B, counted once and multiplied by the number of tile
     columns (A) or rows (B).  Accumulator words are made k-outer, one k
     step of every tile in a block of tile rows at a time, with the same
-    adds in the same order as the stream.  Toggles between consecutive
-    tiles are counted last, from each tile's first and last words.  Memory
-    is O(N^2): the matrices, the two copies and about two blocks.
+    adds in the same order as the stream.  Memory is A, B, one XOR
+    temporary, about two blocks and two words per tile: none of it grows
+    with the lane count.
     """
     from .patterns import generate
 
     n, lanes = spec.n_dim, schedule.lanes
     tm, tn = _tile(n, schedule)
     tile_rows, tile_cols = n // tm, n // tn
-    lane = np.arange(lanes)[:, None]  # lane l owns cell (l // tn, l % tn) of its tile
-    # a2[k, l, R] = a[row of lane l in tile row R, k];
-    # b2[k, l, C] = b[k, column of lane l in tile column C].
-    # Each matrix is dropped once its copy is made, to keep the peak low.
     pair = generate(spec)
-    b = pair.b
-    a2 = np.take(pair.a.T, np.arange(0, n, tm) + lane // tn, axis=1)
-    del pair
-    b2 = np.take(b, np.arange(0, n, tn) + lane % tn, axis=1)
-    del b
+    a3 = pair.a.reshape(tile_rows, tm, n)  # a3[R, di, k] = a[R * tm + di, k]
+    b3 = pair.b.reshape(n, tile_cols, tn)  # b3[k, C, dj] = b[k, C * tn + dj]
 
-    grid = (2, tile_rows, tile_cols)
-    mul = 0
-    for copy, repeats, ends in (
-            (a2, tile_cols, a2[[0, -1], [0, -1]][:, :, None]),  # (2, R, 1)
-            (b2, tile_rows, b2[[0, -1], [0, -1]][:, None])):    # (2, 1, C)
-        runs = copy.reshape(n * lanes, -1)
-        rows = max(1, ACC_BLOCK // runs.shape[1])
-        mul += repeats * sum(_toggles(runs[t:t + rows + 1])  # one row overlap
-                             for t in range(0, len(runs) - 1, rows))
-        mul += _toggles(*np.broadcast_to(ends, grid).reshape(2, -1))
+    # In a tile, each k step reads A rows di = 0 .. tm - 1 in turn, each for
+    # tn lanes, and B columns dj = 0 .. tn - 1 once per row; then k + 1.
+    a_tile = _flips(a3[:, 1:], a3[:, :-1]) + _flips(a3[:, -1, :-1], a3[:, 0, 1:])
+    b_tile = (tm * _flips(b3[:, :, 1:], b3[:, :, :-1])
+              + (tm - 1) * _flips(b3[:, :, -1], b3[:, :, 0])
+              + _flips(b3[:-1, :, -1], b3[1:, :, 0]))
+    # From each tile's last words to the next tile's first, tile-row-major.
+    a_first, a_last = a3[:, 0, 0], a3[:, -1, -1]  # per tile row
+    b_first, b_last = b3[0, :, 0], b3[-1, :, -1]  # per tile column
+    mul = (tile_cols * a_tile + tile_rows * b_tile
+           + (tile_cols - 1) * _flips(a_last, a_first) + _flips(a_last[:-1], a_first[1:])
+           + tile_rows * _flips(b_last[:-1], b_first[1:])
+           + (tile_rows - 1) * _flips(b_last[-1:], b_first[:1]))
 
+    a_k = a3.transpose(2, 1, 0)[:, :, None, :, None]  # [k, di, 1, R, 1]
+    b_k = b3.transpose(0, 2, 1)[:, None, :, None]     # [k, 1, dj, 1, C]
     step = max(1, ACC_BLOCK // (tm * n))  # tile rows per block
     width = min(step, tile_rows) * tile_cols
     accs, prods = np.empty((lanes + 1) * width), np.empty(lanes * width)
@@ -228,11 +223,11 @@ def score_spec(spec, schedule: Schedule = Schedule()) -> ToggleReport:
         y = accs[:(lanes + 1) * m].reshape(lanes + 1, m)
         y.fill(-0.0)
         prod = prods[:lanes * m].reshape(lanes, m)
-        products = prod.reshape(lanes, r1 - r0, tile_cols)
+        products = prod.reshape(tm, tn, r1 - r0, tile_cols)  # lane l = di * tn + dj
         words, toggled = y.view(np.uint64), prod.view(np.uint64)
-        a_blk = a2[:, :, r0:r1, None]
+        a_blk = a_k[:, :, :, r0:r1]
         for k in range(n):  # k outer: ascending, one add per cycle and lane
-            np.multiply(a_blk[k], b2[k, :, None], out=products)
+            np.multiply(a_blk[k], b_k[k], out=products)
             y[0] = y[-1]
             np.add(y[1:], prod, out=y[1:])
             np.bitwise_xor(words[1:], words[:-1], out=toggled)
@@ -240,5 +235,5 @@ def score_spec(spec, schedule: Schedule = Schedule()) -> ToggleReport:
             if k == 0:
                 first[tiles] = words[1]
         last[tiles] = words[-1]
-    acc += _toggles(first, last)
+    acc += _flips(first[1:], last[:-1])
     return ToggleReport(n ** 3, mul, acc)

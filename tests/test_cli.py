@@ -765,19 +765,42 @@ def test_score_ranking_keeps_ties_in_sweep_order(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("line_buffered", [False, True])
 def test_score_survives_a_reader_that_closes_early(tmp_path, capsys, monkeypatch, line_buffered):
+    # as `score | head -n 1` and `sweep | head -n 1` once head has exited:
+    # each command exits 0 and writes everything, and stderr stays empty
+    def main_into_closed_pipe(manifest, command):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with os.fdopen(write_end, "w", buffering=1 if line_buffered else -1) as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            code = main(["--manifest", str(manifest), command])
+            monkeypatch.undo()
+        return code
+
     manifest = write_manifest(
         tmp_path / "m.ini",
         pattern=PatternSpec(family="sparse_rowcol", n_dim=16, seed=5),
         sweep=SweepPlan(level_min=0, level_max=3),
         model=ModelPlan(lanes=4),
     )
-    read_end, write_end = os.pipe()
-    os.close(read_end)  # as `score | head -n 1` once head has exited
-    with os.fdopen(write_end, "w", buffering=1 if line_buffered else -1) as stdout:
-        monkeypatch.setattr(sys, "stdout", stdout)
-        assert main(["--manifest", str(manifest), "score"]) == 0
-        monkeypatch.undo()
+    assert main_into_closed_pipe(manifest, "score") == 0
     assert len(read_csv(tmp_path / "out" / "score.csv")) == 8
+
+    tl = tmp_path / "recorded.csv"
+    write_replay_timeline(tl)
+    out = tmp_path / "sweep"
+    manifest = write_manifest(
+        tmp_path / "sweep.ini",
+        pattern=PatternSpec(family="block_rowcol", n_dim=16, seed=5),
+        sources=(f"replay:{tl}",),
+        sweep=SweepPlan(level_min=0, level_max=4),
+        out_dir=str(out),
+    )
+    assert main_into_closed_pipe(manifest, "sweep") == 0
+    for mode in ("independent", "fixed_common"):
+        for level in range(5):
+            assert (out / f"block_rowcol-{mode}-L{level:02d}" / "record.csv").exists()
+        assert [row["level"] for row in read_csv(out / f"series-block_rowcol-{mode}.csv")] == \
+            [str(level) for level in range(5)]
     assert capsys.readouterr().err == ""
 
 
