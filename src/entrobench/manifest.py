@@ -38,18 +38,23 @@ class SweepPlan:
     def __post_init__(self):
         if not self.value_modes:
             raise ConfigError("sweep value_modes must name at least one value mode")
+        if len(set(self.value_modes)) < len(self.value_modes):
+            raise ConfigError("sweep value_modes names a value mode twice: "
+                              + ",".join(self.value_modes))
 
 
 @dataclass(frozen=True)
 class ModelPlan:
-    lanes: int = 1  # the tile is derived from it: model.Schedule(lanes).tile
+    # A power of two, as N is, so that the tile derived from it,
+    # model.Schedule(lanes).tile, divides N whenever lanes <= N^2.
+    lanes: int = 1
     # Run-time guard: scoring costs ~N^3 port cycles per spec, while memory
     # stays O(N^2) plus about two blocks.
     max_n_dim: int = 1024
 
     def __post_init__(self):
-        if self.lanes < 1:
-            raise ConfigError(f"lanes must be >= 1, got {self.lanes}")
+        if self.lanes < 1 or self.lanes & (self.lanes - 1):
+            raise ConfigError(f"lanes must be a power of two, got {self.lanes}")
         if self.max_n_dim < 2:
             raise ConfigError(f"max_n_dim must be >= 2, got {self.max_n_dim}")
 

@@ -10,7 +10,6 @@ wattage itself.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,19 +31,19 @@ class Schedule:
     lanes: int = 1
 
     def __post_init__(self):
-        if self.lanes < 1:
-            raise ConfigError(f"lanes must be >= 1, got {self.lanes}")
+        if self.lanes < 1 or self.lanes & (self.lanes - 1):
+            raise ConfigError(f"lanes must be a power of two, got {self.lanes}")
 
     @property
     def tile(self) -> tuple[int, int]:
-        """The most square (tm, tn) tile of `lanes` cells, tm <= tn.
+        """The most square (tm, tn) tile of `lanes` cells: tn = tm or 2 * tm.
 
         A square footprint avoids degenerate operand sharing (a 1xL tile
         reads the same A element on every lane of a cycle, which suppresses
         A-word toggles for high-entropy inputs and skews comparisons across
         patterns).
         """
-        tm = next(c for c in range(math.isqrt(self.lanes), 0, -1) if self.lanes % c == 0)
+        tm = 1 << (self.lanes.bit_length() - 1) // 2
         return tm, self.lanes // tm
 
 
@@ -91,19 +90,15 @@ ACC_BLOCK = 1 << 14
 
 
 def _tile(n: int, schedule: Schedule) -> tuple[int, int]:
-    """The schedule's tile, checked to divide an n x n output.
+    """The schedule's tile, checked to fit an n x n output.
 
-    More lanes than output cells are refused before the tile is factored,
-    which bounds the factoring loop by n.
+    n and the lane count are powers of two, so a tile of at most n * n
+    cells has sides of at most n, and they divide n.
     """
     lanes = schedule.lanes
     if lanes > n * n:
         raise ConfigError(f"lanes={lanes} exceeds the {n * n} cells of an n_dim={n} output")
-    tm, tn = schedule.tile
-    if n % tm or n % tn:
-        raise ConfigError(f"lanes={lanes} gives a {tm}x{tn} tile, "
-                          f"which does not divide n_dim={n}")
-    return tm, tn
+    return schedule.tile
 
 
 def _output_order(n: int, schedule: Schedule) -> tuple[np.ndarray, np.ndarray]:
@@ -177,9 +172,9 @@ def score_spec(spec, schedule: Schedule = Schedule()) -> ToggleReport:
     views of A and B, counted once and multiplied by the number of tile
     columns (A) or rows (B).  Accumulator words are made k-outer, one k
     step of every tile in a block of tile rows at a time, with the same
-    adds in the same order as the stream.  Memory is A, B, one XOR
-    temporary, about two blocks and two words per tile: none of it grows
-    with the lane count.
+    adds in the same order as the stream; the toggles between a block's
+    consecutive tiles are counted at its end.  Memory is A, B, one XOR
+    temporary and about two blocks: none of it grows with the lane count.
     """
     from .patterns import generate
 
@@ -207,33 +202,31 @@ def score_spec(spec, schedule: Schedule = Schedule()) -> ToggleReport:
     a_k = a3.transpose(2, 1, 0)[:, :, None, :, None]  # [k, di, 1, R, 1]
     b_k = b3.transpose(0, 2, 1)[:, None, :, None]     # [k, 1, dj, 1, C]
     step = max(1, ACC_BLOCK // (tm * n))  # tile rows per block
-    width = min(step, tile_rows) * tile_cols
-    accs, prods = np.empty((lanes + 1) * width), np.empty(lanes * width)
-    first, last = np.empty((2, tile_rows * tile_cols), dtype=np.uint64)
     acc = 0
     for r0 in range(0, tile_rows, step):
         r1 = min(r0 + step, tile_rows)
-        tiles = slice(r0 * tile_cols, r1 * tile_cols)
         m = (r1 - r0) * tile_cols
         # y[1 + l, t] is lane l's accumulator in the block's t-th tile and
         # y[0] the last lane's one cycle earlier, so the words of a k step
         # run down axis 0 (at k = 0, y[0] has no word to toggle from).
         # -0.0 is the additive identity, so the first add leaves the first
         # product as it is, as np.cumsum does.
-        y = accs[:(lanes + 1) * m].reshape(lanes + 1, m)
-        y.fill(-0.0)
-        prod = prods[:lanes * m].reshape(lanes, m)
+        y = np.full((lanes + 1, m), -0.0)
+        prod = np.empty((lanes, m))
         products = prod.reshape(tm, tn, r1 - r0, tile_cols)  # lane l = di * tn + dj
-        words, toggled = y.view(np.uint64), prod.view(np.uint64)
         a_blk = a_k[:, :, :, r0:r1]
         for k in range(n):  # k outer: ascending, one add per cycle and lane
             np.multiply(a_blk[k], b_k[k], out=products)
             y[0] = y[-1]
             np.add(y[1:], prod, out=y[1:])
-            np.bitwise_xor(words[1:], words[:-1], out=toggled)
-            acc += int(np.bitwise_count(toggled[0 if k else 1:]).sum())
+            s = 0 if k else 1
+            acc += _flips(y[s + 1:], y[s:-1])
             if k == 0:
-                first[tiles] = words[1]
-        last[tiles] = words[-1]
-    acc += _flips(first[1:], last[:-1])
+                first = y[1].copy()
+        # Tiles are consecutive, within a block and across blocks: from
+        # each tile's last word to the next tile's first.
+        if r0:
+            acc += _flips(last, first[:1])
+        acc += _flips(y[-1, :-1], first[1:])
+        last = y[-1, -1:].copy()
     return ToggleReport(n ** 3, mul, acc)

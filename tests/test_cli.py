@@ -200,6 +200,8 @@ def test_replay_of_run_with_missing_named_timeline_exits_source(tmp_path, capsys
     ("value_modes", "bogus", "sweep"),  # [sweep]
     ("value_modes", "bogus", "score"),
     ("value_modes", "", "sweep"),
+    ("value_modes", "independent,independent", "sweep"),  # would run each point twice
+    ("value_modes", "independent,independent", "score"),
     ("trim_fraction", "0.6", "run"),  # [analysis]
     ("tdp_w", "nan", "run"),
     ("tdp_w", "inf", "sweep"),
@@ -813,12 +815,13 @@ def test_score_budget_guard(tmp_path):
 
 
 @pytest.mark.parametrize("lanes,message", [
-    (3, "lanes=3 gives a 1x3 tile, which does not divide n_dim=64"),
-    # refused before the tile is factored, which would take ~10**9 steps
-    (10**18, f"lanes={10**18} exceeds the 4096 cells of an n_dim=64 output"),
+    (3, "lanes must be a power of two, got 3"),
+    (10**18, f"lanes must be a power of two, got {10**18}"),
+    (2**60, f"lanes={2**60} exceeds the 4096 cells of an n_dim=64 output"),
 ])
 def test_score_refuses_a_lane_count_whose_tile_cannot_fit(tmp_path, capsys, lanes, message):
-    manifest = write_manifest(tmp_path / "m.ini", model=ModelPlan(lanes=lanes))
+    manifest = write_manifest(tmp_path / "m.ini", model=ModelPlan(lanes=4))
+    manifest.write_text(manifest.read_text().replace("\nlanes = 4\n", f"\nlanes = {lanes}\n"))
     start = time.perf_counter()
     assert main(["--manifest", str(manifest), "score"]) == 2
     assert time.perf_counter() - start < 0.5

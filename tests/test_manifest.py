@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from entrobench.cli import main
 from entrobench.errors import ConfigError
 from entrobench.gemm import GemmConfig
 from entrobench.manifest import (
@@ -197,3 +198,15 @@ def test_validation_errors():
             AnalysisPlan(trim_fraction=trim)
     with pytest.raises(ConfigError, match="value_modes"):
         SweepPlan(value_modes=())
+
+
+@pytest.mark.parametrize("command", ["run", "score"])
+def test_lane_count_not_a_power_of_two_exits_at_load(tmp_path, capsys, command):
+    # refused by ModelPlan when the manifest loads, for every command,
+    # although only score reads the lane count
+    path = tmp_path / "m.ini"
+    text = manifest_to_text(sample_manifest(out_dir=str(tmp_path / "out")))
+    path.write_text(text.replace("\nlanes = 4\n", "\nlanes = 6\n"))
+    assert main(["--manifest", str(path), command]) == 2
+    assert "lanes must be a power of two, got 6" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
