@@ -58,8 +58,10 @@ def masks(spec: PatternSpec) -> tuple[np.ndarray, np.ndarray]:
         return mask_a, mask_b
 
     if spec.family is Family.BLOCK_DIAGONAL:
+        # The stripe width s is a power of two, so i // s + j // s is even
+        # exactly when i and j agree at bit s.
         s = n // (1 << lvl)
-        mask_a = (i // s + j // s) % 2 == 0
+        mask_a = ((i ^ j) & s) == 0
         return mask_a, ~mask_a
 
     if spec.family is Family.SPARSE_ROWCOL:
@@ -68,10 +70,12 @@ def masks(spec: PatternSpec) -> tuple[np.ndarray, np.ndarray]:
         mask_b = np.broadcast_to(j < rows, (n, n)).copy()
         return mask_a, mask_b
 
-    # sparse_diagonal: 2^level full diagonals, wrapping modulo N.
-    d = n >> lvl  # diagonal stride
-    mask_a = (j - i) % n % d == 0
-    mask_b = (i + j) % n % d == d - 1
+    # sparse_diagonal: 2^level full diagonals, wrapping modulo N.  The
+    # stride d is a power of two that divides N, so x & (d - 1) is x mod d,
+    # for negative x too.
+    d = n >> lvl
+    mask_a = ((j - i) & (d - 1)) == 0
+    mask_b = ((i + j) & (d - 1)) == d - 1
     return mask_a, mask_b
 
 

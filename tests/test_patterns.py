@@ -64,6 +64,24 @@ def test_block_diagonal_masks_complementary():
             np.testing.assert_array_equal(mask_b, ~mask_a)
 
 
+@pytest.mark.parametrize("family", ["sparse_diagonal", "block_diagonal"])
+def test_diagonal_masks_equal_the_modulo_formulas(family):
+    # masks() builds these with a bit-and, since the stride and the stripe
+    # width are powers of two; these are the modulo formulas they replace.
+    for n in (2 ** m for m in range(1, 11)):
+        i, j = np.arange(n)[:, None], np.arange(n)[None, :]
+        for level in range(1 if family == "block_diagonal" else 0, n.bit_length()):
+            mask_a, mask_b = masks(PatternSpec(family=family, n_dim=n, level=level))
+            if family == "sparse_diagonal":
+                d = n >> level
+                expected = ((j - i) % n % d == 0, (i + j) % n % d == d - 1)
+            else:
+                s = n // (1 << level)
+                expected = ((i // s + j // s) % 2 == 0, (i // s + j // s) % 2 == 1)
+            np.testing.assert_array_equal(mask_a, expected[0])
+            np.testing.assert_array_equal(mask_b, expected[1])
+
+
 def test_block_rowcol_mask_b_is_transpose_of_a():
     for level in range(5):
         mask_a, mask_b = masks(
