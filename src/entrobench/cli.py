@@ -132,6 +132,14 @@ def _point_outputs(point: Path) -> list[Path]:
             for path in _outputs(run_dir, RUN_OUTPUTS)]
 
 
+def _make_out(out: Path) -> None:
+    """Create an output or run directory; a path that cannot be one is a configuration error."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+
+
 def _clear(m: ExperimentManifest, stale) -> None:
     """Remove an earlier command's outputs, refusing if one is a replay source of m."""
     replayed = {Path(d.partition(":")[2]).resolve() for d in m.sources if d.startswith("replay:")}
@@ -144,7 +152,7 @@ def _clear(m: ExperimentManifest, stale) -> None:
 
 def execute_run(m: ExperimentManifest, run_dir: Path, run_index: int = 0):
     """Run one experiment and persist all artifacts; returns (record, summary row)."""
-    run_dir.mkdir(parents=True, exist_ok=True)
+    _make_out(run_dir)
     phase = "configure"
     try:
         from .gemm import get_backend
@@ -234,6 +242,7 @@ def _run_points(points):
 
 
 def cmd_run(m: ExperimentManifest, out: Path) -> int:
+    _make_out(out)
     _, errors = _run_points([(m, out)])
     if errors:  # every repetition ran; the exit code reports the first failure
         raise errors[0]
@@ -245,6 +254,7 @@ def cmd_sweep(m: ExperimentManifest, out: Path) -> int:
         raise ConfigError("sweep requires a pattern family, not a baseline")
     specs = m.sweep_specs()  # a bad level range is refused before anything is removed
     family = m.config.pattern.family.value
+    _make_out(out)
     # Clear every series and every point of the family, so out holds only this sweep's runs.
     _clear(m, _outputs(out, ["series-*.csv"]) + [
         path for point in out.glob(f"{family}-*-L*") for path in _point_outputs(point)])
@@ -262,9 +272,9 @@ def cmd_replay(inputs, out: Path, plan: AnalysisPlan) -> int:
     run_dirs = discover_run_dirs(inputs)
     if not run_dirs:
         raise ConfigError("replay found no run directories (no record.csv)")
+    _make_out(out)
     for path in _outputs(out, REPLAY_OUTPUTS):  # an earlier replay's curves and report
         path.unlink()
-    out.mkdir(parents=True, exist_ok=True)
 
     runs = []
     for run_dir in run_dirs:
@@ -300,11 +310,12 @@ def cmd_score(m: ExperimentManifest, out: Path) -> int:
     specs = m.sweep_specs() if m.sweep is not None and not pattern.is_baseline else [pattern]
 
     schedule = model.schedule_for_lanes(plan.lanes)
+    model._tile(pattern.n_dim, schedule)  # a tile that cannot fit is refused before out is made
+    _make_out(out)
     scored = [(spec, model.score_spec(spec, schedule)) for spec in specs]
     by_key = sorted(
         scored, key=lambda sr: (sr[0].family.value, sr[0].value_mode.value, sr[0].level)
     )
-    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "score.csv", SCORE_HEADER, (
         (spec.family.value, spec.level, spec.value_mode.value, report.score_per_flop,
          report.mul_input_toggles, report.acc_toggles, report.flops)
@@ -320,7 +331,7 @@ def cmd_score(m: ExperimentManifest, out: Path) -> int:
 
 def cmd_fixtures(out: Path) -> int:
     """Emit the embedded recorded-measurement fixtures for inspection/replay."""
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out(out)
     count = 0
     for name, _spec, record, timeline in fixtures.iter_fixture_runs():
         run_dir = out / name

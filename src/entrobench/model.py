@@ -106,32 +106,6 @@ def _tile(n: int, schedule: Schedule) -> tuple[int, int]:
     return tm, tn
 
 
-def _output_order(n: int, schedule: Schedule) -> tuple[np.ndarray, np.ndarray]:
-    """Row/col indices of output cells in tile-row-major order."""
-    tm, tn = _tile(n, schedule)
-    shape = (n // tm, n // tn, tm, tn)  # (tile row, tile col, di, dj)
-    rows = np.arange(0, n, tm)[:, None, None, None] + np.arange(tm)[:, None]
-    cols = np.arange(0, n, tn)[:, None, None] + np.arange(tn)
-    return np.broadcast_to(rows, shape).ravel(), np.broadcast_to(cols, shape).ravel()
-
-
-def _group_block(a: np.ndarray, bt: np.ndarray, rows: np.ndarray,
-                 cols: np.ndarray) -> FmaStream:
-    """Port stream of the lane-groups whose cells are rows[g, l], cols[g, l]."""
-    groups, lanes = rows.shape
-    a_blk, b_blk, acc = np.empty((3, groups, a.shape[1], lanes))
-    # Gathering whole rows lane by lane beats transposing a gathered
-    # (groups, lanes, n) block, whose inner copy runs are only `lanes` long.
-    for lane in range(lanes):
-        a_blk[:, :, lane] = a[rows[:, lane]]   # a[i_l, k] at [g, k, l]
-        b_blk[:, :, lane] = bt[cols[:, lane]]  # b[k, j_l] at [g, k, l]
-    np.multiply(a_blk, b_blk, out=acc)
-    np.cumsum(acc, axis=1, out=acc)  # ascending-k, sequential per lane
-    return FmaStream(a_vals=a_blk.ravel(),  # k-major, lane-minor interleave
-                     b_vals=b_blk.ravel(),
-                     acc_vals=acc.ravel())
-
-
 def operand_stream(pair: MatrixPair, schedule: Schedule = Schedule()) -> FmaStream:
     """The merged FMA-port operand stream, built whole (O(N^3) memory).
 
@@ -142,12 +116,19 @@ def operand_stream(pair: MatrixPair, schedule: Schedule = Schedule()) -> FmaStre
     in the accumulator word naturally.
 
     count_toggles counts the same toggles without building this stream;
-    this is the reference it is tested against.
+    this is the reference it is tested against, written as the schedule's
+    definition: the words in port order (tile row, tile col, k, di, dj).
     """
-    rows, cols = _output_order(pair.a.shape[0], schedule)
-    lanes = schedule.lanes
-    return _group_block(pair.a, np.ascontiguousarray(pair.b.T),
-                        rows.reshape(-1, lanes), cols.reshape(-1, lanes))
+    a, b = (np.asarray(x, np.float64) for x in (pair.a, pair.b))
+    n = len(a)
+    tm, tn = _tile(n, schedule)
+    a_k = a.reshape(n // tm, 1, tm, n).transpose(0, 1, 3, 2)[..., None]  # a[R*tm+di, k]
+    b_k = b.reshape(n, n // tn, tn).transpose(1, 0, 2)[None, :, :, None]  # b[k, C*tn+dj]
+    acc = a_k * b_k
+    np.cumsum(acc, axis=2, out=acc)  # ascending-k, sequential per lane
+    return FmaStream(a_vals=np.broadcast_to(a_k, acc.shape).ravel(),
+                     b_vals=np.broadcast_to(b_k, acc.shape).ravel(),
+                     acc_vals=acc.ravel())
 
 
 def _popcount(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -195,42 +176,40 @@ def _distinct(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _tile_row_block(a_rows: np.ndarray, b_k: np.ndarray, col_map: np.ndarray,
-                    col_count: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    col_count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Accumulator toggles of a block of distinct tile rows, per tile row.
 
     a_rows[r, di, k] holds the A rows of the block's r-th tile row, and
     b_k[k, 0, dj, 0, c] the B words of distinct tile column c; col_map
     maps each tile column to its distinct one, and col_count counts them.
     Returns, per tile row: its toggles within tiles and from each tile to
-    the next, over every tile column; its first accumulator word (lane 0
-    at k = 0 in its first tile); and its last (the last lane's final word
-    in its last tile).
+    the next, over every tile column; and its last accumulator word (the
+    last lane's final word in its last tile).
     """
     height, tm, n = a_rows.shape
     tn, width = b_k.shape[2], b_k.shape[4]
     lanes, m = tm * tn, height * width
     # y[1 + l, t] is lane l's accumulator in the block's t-th tile and
     # y[0] the last lane's one cycle earlier, so the words of a k step run
-    # down axis 0 (at k = 0, y[0] has no word to toggle from).  -0.0 is the
-    # additive identity, so the first add leaves the first product as it
-    # is, as np.cumsum does.
+    # down axis 0.  -0.0 is the additive identity, so a tile's first
+    # accumulator word is its first product, bit for bit, as np.cumsum
+    # leaves it; y[0] starts as that word, so lane 0 at k = 0 toggles nothing.
+    first = a_rows[:, 0, :1] * b_k[0, 0, 0]  # [r, c]
     y = np.full((lanes + 1, m), -0.0)
+    y[0] = first.ravel()
     prod = np.empty((lanes, m))
     products = prod.reshape(tm, tn, height, width)  # lane l = di * tn + dj
     a_k = a_rows.transpose(2, 1, 0)[:, :, None, :, None]  # [k, di, 1, r, 1]
     flips = np.zeros((lanes, m), np.uint32)  # per word, summed over k
     for k in range(n):  # k outer: ascending, one add per cycle and lane
         np.multiply(a_k[k], b_k[k], out=products)
-        y[0] = y[-1]
         np.add(y[1:], prod, out=y[1:])
-        s = 0 if k else 1
-        flips[s:] += _popcount(y[s + 1:], y[s:-1])
-        if k == 0:
-            first = y[1].reshape(height, width)[:, col_map]  # per tile column
+        flips += _popcount(y[1:], y[:-1])
+        y[0] = y[-1]
     last = y[-1].reshape(height, width)[:, col_map]
     within = flips.sum(axis=0, dtype=np.int64).reshape(height, width) @ col_count
-    between = _popcount(last[:, :-1], first[:, 1:]).sum(axis=1, dtype=np.int64)
-    return within + between, first[:, 0], last[:, -1]
+    between = _popcount(last[:, :-1], first[:, col_map[1:]]).sum(axis=1, dtype=np.int64)
+    return within + between, last[:, -1]
 
 
 def count_toggles(a: np.ndarray, b: np.ndarray, schedule: Schedule = Schedule()) -> ToggleReport:
@@ -289,15 +268,14 @@ def count_toggles(a: np.ndarray, b: np.ndarray, schedule: Schedule = Schedule())
     b_cols = b3 if len(col_reps) == tile_cols else np.take(b3, col_reps, axis=1)
     b_k = b_cols.transpose(0, 2, 1)[:, None, :, None]  # [k, 1, dj, 1, c]
     counts = np.empty(len(row_reps), np.int64)
-    row_first, row_last = np.empty((2, len(row_reps)))
+    row_last = np.empty(len(row_reps))
     step = max(1, ACC_BLOCK // max(lanes * len(col_reps), tile_cols))  # tile rows per block
     for r0 in range(0, len(row_reps), step):
         block = slice(r0, r0 + step)
         rows = block if len(row_reps) == tile_rows else row_reps[block]
-        counts[block], row_first[block], row_last[block] = _tile_row_block(
-            a3[rows], b_k, col_map, col_count)
-    # From each tile row's last word to the next tile row's first.
-    acc = int(row_count @ counts) + _flips(row_last[row_map[:-1]], row_first[row_map[1:]])
+        counts[block], row_last[block] = _tile_row_block(a3[rows], b_k, col_map, col_count)
+    # From each tile row's last word to the next tile row's first, its first product.
+    acc = int(row_count @ counts) + _flips(row_last[row_map[:-1]], a_first[1:] * b_first[0])
     return ToggleReport(n ** 3, mul, acc)
 
 

@@ -79,24 +79,16 @@ def masks(spec: PatternSpec) -> tuple[np.ndarray, np.ndarray]:
     return mask_a, mask_b
 
 
-def random_fraction(mask: np.ndarray) -> float:
-    """Fraction of random-designated cells in a mask."""
-    return float(np.count_nonzero(mask)) / mask.size
-
-
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _uniform_open_closed(rng: np.random.Generator, count):
+def _uniform_open_closed(rng: np.random.Generator, count) -> np.ndarray:
     """Draws on (0, 1], so none collides with the 0.0 zero-cell sentinel.
 
-    An array draw is turned around in place, so it costs one array; a
-    count of None draws one float.
+    The draw is turned around in place, so it costs one array.
     """
     x = rng.random(count)
-    if count is None:
-        return 1.0 - x
     return np.subtract(1.0, x, out=x)
 
 
@@ -121,7 +113,7 @@ def generate(spec: PatternSpec) -> MatrixPair:
         a = np.zeros((n, n))
         b = np.zeros((n, n))
         if spec.value_mode is ValueMode.FIXED_COMMON:
-            common = _uniform_open_closed(rng_a, None)
+            common = _uniform_open_closed(rng_a, 1)[0]
             a[mask_a] = common
             b[mask_b] = common
         else:

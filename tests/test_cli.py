@@ -444,6 +444,19 @@ def test_run_keeps_going_after_a_failed_repetition(tmp_path, monkeypatch, capsys
     assert (out / "run-002" / "record.csv").exists()
 
 
+def test_run_keeps_going_after_a_repetition_directory_that_cannot_be_made(tmp_path, capsys):
+    manifest = write_manifest(tmp_path / "m.ini", repetitions_per_node=3)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "run-001").write_text("a file\n")
+    assert main(["--manifest", str(manifest), "run"]) == 2
+    err = capsys.readouterr().err
+    assert f"run {out / 'run-001'} failed: cannot create output directory" in err
+    assert (out / "run-000" / "record.csv").exists()
+    assert (out / "run-001").read_text() == "a file\n"
+    assert (out / "run-002" / "record.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_run_and_sweep_reach_the_workload_through_cli_run_experiment(tmp_path, monkeypatch,
                                                                      command):
@@ -844,6 +857,31 @@ def test_percent_sign_in_a_manifest_value(tmp_path, via_option):
     assert manifest_to_text(load_manifest(out / "manifest")) == text
     if not via_option:
         assert text == manifest.read_text()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "score", "fixtures", "replay"])
+def test_an_output_path_that_cannot_be_a_directory_exits_config_before_any_work(
+        tmp_path, capsys, monkeypatch, command):
+    from entrobench import model
+
+    def work(*args, **kwargs):
+        raise AssertionError(f"{command} started work")
+
+    monkeypatch.setattr(cli, "run_experiment", work)
+    monkeypatch.setattr(model, "score_spec", work)
+    out = tmp_path / "taken"
+    out.write_text("a file\n")
+    manifest = write_manifest(tmp_path / "m.ini", sweep=SweepPlan(), model=ModelPlan(lanes=4))
+    _, _, record, timeline = next(fixtures.iter_fixture_runs())
+    (tmp_path / "fx").mkdir()
+    cli._write_run_dir(tmp_path / "fx", record, {record.timeline_ids[0]: timeline})
+    options = [] if command in ("fixtures", "replay") else ["--manifest", str(manifest)]
+    inputs = [str(tmp_path / "fx")] if command == "replay" else []
+    assert main([*options, "--out", str(out), command, *inputs]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"configuration error: cannot create output directory {out}")
+    assert captured.out == ""
+    assert out.read_text() == "a file\n"
 
 
 @pytest.mark.parametrize("option", [["--seed", "1"], ["--interval-ms", "5"]])

@@ -61,30 +61,40 @@ def test_stream_definition_single_lane():
 
 @pytest.mark.parametrize("lanes,tile", [(2, (1, 2)), (4, (2, 2)), (8, (2, 4))])
 def test_stream_matches_scalar_tiled_schedule(lanes, tile):
-    n = 8
-    pair = generate(PatternSpec(family="sparse_rowcol", n_dim=n, level=1, seed=6))
     schedule = Schedule(lanes=lanes)
     assert schedule.tile == tile
-    stream = operand_stream(pair, schedule)
-
     tm, tn = tile
-    cells = [(ti + di, tj + dj)
-             for ti in range(0, n, tm) for tj in range(0, n, tn)
-             for di in range(tm) for dj in range(tn)]
-    a_expect, b_expect, acc_expect = [], [], []
-    for start in range(0, len(cells), lanes):
-        group = cells[start:start + lanes]
-        accs = [0.0] * lanes
-        for k in range(n):
-            for lane, (i, j) in enumerate(group):
-                accs[lane] = accs[lane] + pair.a[i, k] * pair.b[k, j]
-                a_expect.append(pair.a[i, k])
-                b_expect.append(pair.b[k, j])
-                acc_expect.append(accs[lane])
-    for got, expect in ((stream.a_vals, a_expect), (stream.b_vals, b_expect),
-                        (stream.acc_vals, acc_expect)):
-        np.testing.assert_array_equal(np.asarray(got).view(np.uint64),
-                                      np.asarray(expect).view(np.uint64))
+    pairs = [generate(PatternSpec(family="sparse_rowcol", n_dim=8, level=1, seed=6))]
+    if 6 % tn == 0:  # n = 6 is no power of two; a 2x4 tile does not divide it
+        pairs.append(MatrixPair(*np.random.default_rng(6).random((2, 6, 6))))
+    for pair in pairs:
+        n = len(pair.a)
+        stream = operand_stream(pair, schedule)
+        cells = [(ti + di, tj + dj)
+                 for ti in range(0, n, tm) for tj in range(0, n, tn)
+                 for di in range(tm) for dj in range(tn)]
+        a_expect, b_expect, acc_expect = [], [], []
+        for start in range(0, len(cells), lanes):
+            group = cells[start:start + lanes]
+            accs = [0.0] * lanes
+            for k in range(n):
+                for lane, (i, j) in enumerate(group):
+                    accs[lane] = accs[lane] + pair.a[i, k] * pair.b[k, j]
+                    a_expect.append(pair.a[i, k])
+                    b_expect.append(pair.b[k, j])
+                    acc_expect.append(accs[lane])
+        for got, expect in ((stream.a_vals, a_expect), (stream.b_vals, b_expect),
+                            (stream.acc_vals, acc_expect)):
+            np.testing.assert_array_equal(np.asarray(got).view(np.uint64),
+                                          np.asarray(expect).view(np.uint64))
+
+        # Integer-valued operands give the stream of their float64 values.
+        ints = [np.round(16 * x).astype(np.int64) for x in (pair.a, pair.b)]
+        int_stream = operand_stream(MatrixPair(*ints), schedule)
+        float_stream = operand_stream(MatrixPair(*(x.astype(np.float64) for x in ints)), schedule)
+        for got, expect in zip(vars(int_stream).values(), vars(float_stream).values()):
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got.view(np.uint64), expect.view(np.uint64))
 
 
 def test_stream_round_robin_two_lanes():
@@ -354,10 +364,11 @@ def test_accumulator_loop_runs_only_over_distinct_tiles(monkeypatch):
     spec = PatternSpec(family="sparse_rowcol", n_dim=n, level=0, seed=1)
     report = score_spec(spec, Schedule(lanes))
     assert report == toggle_score(operand_stream(generate(spec), Schedule(lanes)))
-    # Each of the 2 x 2 distinct tiles: lanes * n - 1 words of its stream.
-    # Each of the 2 distinct tile rows: its 7 steps from tile to tile.  All
-    # 64 tiles would take 64 * 63 + 8 * 7 words.
-    assert sum(words) == 2 * 2 * (lanes * n - 1) + 2 * (n // 2 - 1)
+    # Each of the 2 x 2 distinct tiles: lanes * n words, one per cycle of
+    # its stream (the first from its first product to itself).  Each of the
+    # 2 distinct tile rows: its 7 steps from tile to tile.  All 64 tiles
+    # would take 64 * 64 + 8 * 7 words.
+    assert sum(words) == 2 * 2 * lanes * n + 2 * (n // 2 - 1)
 
 
 @pytest.mark.parametrize("lanes", [1, 4, 16])
