@@ -1,8 +1,9 @@
 """Command-line orchestration: run, sweep, replay, score, fixtures.
 
 One command per process.  Exit codes are machine-checkable for batch
-schedulers: 0 success, 2 configuration error, 3 source/backend error,
-4 insufficient data.
+schedulers: 0 success, else the exit_code that the error's class declares
+in errors.py (2 configuration error, 3 source/backend error, 4 insufficient
+data).
 """
 
 from __future__ import annotations
@@ -23,11 +24,6 @@ from .manifest import (
     save_manifest,
 )
 from .spec import write_file
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_SOURCE = 3
-EXIT_DATA = 4
 
 SUMMARY_HEADER = "family,level,value_mode,mean_w,tdp_frac,flop_rate,pj_per_flop_vs_fixed"
 SERIES_HEADER = "family,value_mode,level,mean_w,tdp_w,baseline_random_w,baseline_fixed_w"
@@ -220,13 +216,11 @@ def _run_points(points):
     """Run each (manifest, directory) point's repetitions, trying every run.
 
     A point with several repetitions runs them in run-NNN under its
-    directory; the point's run outputs are cleared first.  Returns the
-    (record, summary row) pairs of the runs that succeeded and the errors
-    of those that failed.
+    directory.  Returns the (record, summary row) pairs of the runs that
+    succeeded and the errors of those that failed.
     """
     runs, errors = [], []
     for m, out in points:
-        _clear(m, _point_outputs(out))
         for rep in range(m.repetitions_per_node):
             run_dir = out / f"run-{rep:03d}" if m.repetitions_per_node > 1 else out
             try:
@@ -241,15 +235,15 @@ def _run_points(points):
     return runs, errors
 
 
-def cmd_run(m: ExperimentManifest, out: Path) -> int:
+def cmd_run(m: ExperimentManifest, out: Path) -> None:
     _make_out(out)
+    _clear(m, _point_outputs(out))
     _, errors = _run_points([(m, out)])
     if errors:  # every repetition ran; the exit code reports the first failure
         raise errors[0]
-    return EXIT_OK
 
 
-def cmd_sweep(m: ExperimentManifest, out: Path) -> int:
+def cmd_sweep(m: ExperimentManifest, out: Path) -> None:
     if m.config.pattern.is_baseline:
         raise ConfigError("sweep requires a pattern family, not a baseline")
     specs = m.sweep_specs()  # a bad level range is refused before anything is removed
@@ -265,10 +259,9 @@ def cmd_sweep(m: ExperimentManifest, out: Path) -> int:
     _write_series(runs, out, m.analysis)
     if errors:  # every run ran; the exit code reports the first failure
         raise errors[0]
-    return EXIT_OK
 
 
-def cmd_replay(inputs, out: Path, plan: AnalysisPlan) -> int:
+def cmd_replay(inputs, out: Path, plan: AnalysisPlan) -> None:
     run_dirs = discover_run_dirs(inputs)
     if not run_dirs:
         raise ConfigError("replay found no run directories (no record.csv)")
@@ -291,10 +284,9 @@ def cmd_replay(inputs, out: Path, plan: AnalysisPlan) -> int:
         line = f"percent_increase={pct:.2f}"
         write_file(out / "report.txt", line + "\n")
         _say(line)
-    return EXIT_OK
 
 
-def cmd_score(m: ExperimentManifest, out: Path) -> int:
+def cmd_score(m: ExperimentManifest, out: Path) -> None:
     """Score each spec in sweep order; write score.csv in key order, then print them ranked.
 
     The ranking is by descending score_per_flop, and a stable sort keeps ties in sweep order.
@@ -326,20 +318,17 @@ def cmd_score(m: ExperimentManifest, out: Path) -> int:
     for rank, (spec, report) in enumerate(ranked, start=1):
         _say(f"#{rank} {spec.family.value} L{spec.level} {spec.value_mode.value} "
              f"score={report.score_per_flop:.3f}")
-    return EXIT_OK
 
 
-def cmd_fixtures(out: Path) -> int:
+def cmd_fixtures(out: Path) -> None:
     """Emit the embedded recorded-measurement fixtures for inspection/replay."""
     _make_out(out)
     count = 0
     for name, _spec, record, timeline in fixtures.iter_fixture_runs():
-        run_dir = out / name
-        run_dir.mkdir(exist_ok=True)
-        _write_run_dir(run_dir, record, {record.timeline_ids[0]: timeline})
+        _make_out(out / name)
+        _write_run_dir(out / name, record, {record.timeline_ids[0]: timeline})
         count += 1
     _say(f"wrote {count} fixture runs to {out}")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,41 +348,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _manifest_for(args) -> ExperimentManifest:
-    if not args.manifest:
-        raise ConfigError(f"{args.command} requires --manifest")
-    m = load_manifest(args.manifest)
-    if args.out:
-        m = dataclasses.replace(m, out_dir=args.out)
-    return m
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "fixtures":
-            return cmd_fixtures(Path(args.out or "fixtures-out"))
-        if args.command == "replay":
+            cmd_fixtures(Path(args.out or "fixtures-out"))
+        elif args.command == "replay":
             plan = load_manifest(args.manifest).analysis if args.manifest else AnalysisPlan()
-            return cmd_replay(args.inputs, Path(args.out or "replay-out"), plan)
-        m = _manifest_for(args)
-        out = Path(m.out_dir)
-        if args.command == "run":
-            return cmd_run(m, out)
-        if args.command == "sweep":
-            return cmd_sweep(m, out)
-        if args.command == "score":
-            return cmd_score(m, out)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SourceError as exc:
-        print(f"source/backend error: {exc}", file=sys.stderr)
-        return EXIT_SOURCE
-    except InsufficientDataError as exc:
-        print(f"insufficient data: {exc}", file=sys.stderr)
-        return EXIT_DATA
+            cmd_replay(args.inputs, Path(args.out or "replay-out"), plan)
+        elif not args.manifest:
+            raise ConfigError(f"{args.command} requires --manifest")
+        else:
+            m = load_manifest(args.manifest)
+            if args.out:
+                m = dataclasses.replace(m, out_dir=args.out)
+            command = {"run": cmd_run, "sweep": cmd_sweep, "score": cmd_score}[args.command]
+            command(m, Path(m.out_dir))
+    except (ConfigError, SourceError, InsufficientDataError) as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Exception types shared across the toolkit.
 
-The CLI maps these onto process exit codes (cli.EXIT_CONFIG, EXIT_SOURCE
-and EXIT_DATA), so new error conditions should subclass one of the three
-roots below rather than raising bare ValueError from user-facing paths.
+Each of the three roots below declares the process exit code and the
+stderr label the CLI reports it with, so new error conditions should
+subclass one of them rather than raising bare ValueError from
+user-facing paths.
 """
 
 
@@ -12,10 +13,12 @@ class EntrobenchError(Exception):
 
 class ConfigError(EntrobenchError):
     """Invalid spec, manifest, or configuration value."""
+    exit_code, label = 2, "configuration error"
 
 
 class SourceError(EntrobenchError):
     """Telemetry source or GEMM backend failure."""
+    exit_code, label = 3, "source/backend error"
 
 
 class FormatError(SourceError):
@@ -24,3 +27,4 @@ class FormatError(SourceError):
 
 class InsufficientDataError(EntrobenchError):
     """Not enough samples or runs to compute the requested statistic."""
+    exit_code, label = 4, "insufficient data"

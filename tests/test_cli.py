@@ -125,10 +125,9 @@ def test_unregistered_backend_exits_config(tmp_path):
     assert (tmp_path / "out" / "failed").read_text().startswith("phase=configure")
 
 
-def test_missing_replay_file_exits_and_marks_phase(tmp_path):
-    manifest = write_manifest(
-        tmp_path / "m.ini", sources=(f"replay:{tmp_path}/nope.csv",)
-    )
+@pytest.mark.parametrize("source", ["replay:{}/nope.csv", "pmx:x"])  # no file; unknown kind
+def test_missing_replay_file_exits_and_marks_phase(tmp_path, source):
+    manifest = write_manifest(tmp_path / "m.ini", sources=(source.format(tmp_path),))
     assert main(["--manifest", str(manifest), "run"]) == 2
     failed = (tmp_path / "out" / "failed").read_text()
     assert "phase=telemetry-setup" in failed
@@ -570,6 +569,17 @@ def test_fixtures_over_longer_files_rewrites_them_to_a_fresh_runs_bytes(tmp_path
         assert (fx / name).stat().st_mtime_ns > 0
 
 
+def test_fixtures_over_a_file_named_like_a_fixture_run_exits_config(tmp_path, capsys):
+    fx = tmp_path / "fx"
+    fx.mkdir()
+    taken = fx / "rec-baseline_fixed"
+    taken.write_text("a file\n")
+    assert main(["--out", str(fx), "fixtures"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot create output directory {taken}")
+    assert taken.read_text() == "a file\n"
+
+
 def test_replay_clears_an_earlier_replays_outputs(tmp_path):
     fx, rp = tmp_path / "fx", tmp_path / "rp"
     assert main(["--out", str(fx), "fixtures"]) == 0
@@ -733,6 +743,21 @@ def test_run_samples_live_pm_and_rapl_files(tmp_path):
     assert rapl_timeline.samples and all(s.watts == 0.0 for s in rapl_timeline.samples)
     assert rapl_timeline.gap_count >= 1  # the first read only sets the baseline
     assert float(read_csv(out / "summary.csv")[0]["mean_w"]) == 217.25
+
+
+def test_a_failing_live_sampler_fails_the_run_with_exit_source(tmp_path, capsys):
+    pm = tmp_path / "power"
+    pm.write_text("abc W 1\n")  # every poll fails to parse
+    pattern = PatternSpec(family="block_rowcol", n_dim=64, level=1, seed=3)
+    # the warm-up outlasts the 11 failed polls in a row that stop the sampler
+    manifest = write_manifest(
+        tmp_path / "m.ini", sources=(f"pm:{pm}",), interval_ms=1.0,
+        config=GemmConfig(pattern, reps=1, backend_id="reference", warmup_seconds=0.2))
+    assert main(["--manifest", str(manifest), "run"]) == 3
+    assert ("source/backend error: source pm_counters failed 11 consecutive reads"
+            in capsys.readouterr().err)
+    failed = (tmp_path / "out" / "failed").read_text().splitlines()
+    assert failed[:2] == ["phase=workload", "type=SourceError"]
 
 
 def test_score_writes_ranked_csv(tmp_path, capsys):

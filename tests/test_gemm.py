@@ -408,25 +408,35 @@ def test_subprocess_backend_output_of_the_wrong_size_is_a_source_error(tmp_path,
     np.testing.assert_array_equal(c, np.ones((4, 4)))  # the size is checked before any read
 
 
-@pytest.mark.parametrize("script", [
-    "",  # exits 0 and writes nothing
-    "open('result.manifest', 'wb').write(b'wall_seconds=\\xff\\n')",  # not UTF-8
-    "open('result.manifest', 'w').write('wall_seconds=0.1\\nc_out=none.bin\\n')",
-])
-def test_subprocess_backend_without_a_readable_result_is_a_source_error(tmp_path, script):
+UNREADABLE_RESULTS = [
+    ("", "no readable result"),  # exits 0 and writes nothing
+    ("open('result.manifest', 'wb').write(b'wall_seconds=\\xff\\n')",  # not UTF-8
+     "no readable result"),
+    ("open('result.manifest', 'w').write('wall_seconds=0.1\\nc_out=none.bin\\n')",
+     "no readable result"),
+    ("import sys; sys.exit(1)", "exited 1"),
+    ("open('result.manifest', 'w').write('c_out=c_out.bin\\n')", "missing wall_seconds"),
+]
+
+
+@pytest.mark.parametrize("script,message", UNREADABLE_RESULTS,
+                         ids=[script for script, _ in UNREADABLE_RESULTS])
+def test_subprocess_backend_without_a_readable_result_is_a_source_error(tmp_path, script,
+                                                                        message):
     good = tmp_path / "good.py"
     good.write_text(BACKEND_SCRIPT)
     bad = tmp_path / "bad.py"
     bad.write_text(script)
-    a = np.eye(4)
+    a, c = np.eye(4), np.ones((4, 4))
     # a good call first, so a result of an earlier call is in the work directory
     make_subprocess_backend([sys.executable, str(good)], tmp_path / "work").run(a, a, a, 1.0, 1.0)
     backend = make_subprocess_backend([sys.executable, str(bad)], tmp_path / "work")
-    with pytest.raises(SourceError, match="no readable result"):
-        backend.run(a, a, a, 1.0, 1.0)
+    with pytest.raises(SourceError, match=message):
+        backend.run(a, a, c, 1.0, 1.0)
     fresh = make_subprocess_backend([sys.executable, str(bad)], tmp_path / "fresh")
-    with pytest.raises(SourceError, match="no readable result"):
-        fresh.run(a, a, a, 1.0, 1.0)
+    with pytest.raises(SourceError, match=message):
+        fresh.run(a, a, c, 1.0, 1.0)
+    np.testing.assert_array_equal(c, np.ones((4, 4)))
 
 
 def test_subprocess_backend_refuses_a_read_only_c_before_running(tmp_path):

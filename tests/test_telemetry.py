@@ -101,6 +101,8 @@ def test_timeline_without_gap_count_loads_with_zero():
 def test_timeline_text_rejects_unknown_schema_and_dupes():
     with pytest.raises(FormatError):
         timeline_from_text("# other-schema v9\nt_ms,watts,source\n")
+    with pytest.raises(FormatError, match="expected header"):
+        timeline_from_text("# entrobench-timeline v1 source=x\nt_ms,watts\n0.0,1.0,x\n")
     tl_text = (
         "# entrobench-timeline v1 source=x epoch=0.0 interval_ms=100.0\n"
         "t_ms,watts,source\n"
@@ -325,6 +327,11 @@ def test_sample_loop_aborts_after_consecutive_failures():
 
     with pytest.raises(SourceError):
         sample_loop(CallablePowerSource(read, name="cb"), 1.0, threading.Event())
+
+
+def test_sample_loop_rejects_an_interval_below_one_ms():
+    with pytest.raises(FormatError, match="interval_ms must be >= 1"):
+        sample_loop(CallablePowerSource(lambda: 1.0), 0.5, threading.Event())
 
 
 def test_sample_loop_tolerates_intermittent_failures():
