@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import os
 import sys
 from pathlib import Path
 
@@ -292,19 +293,18 @@ def cmd_score(m: ExperimentManifest, out: Path) -> None:
     The ranking is by descending score_per_flop, and a stable sort keeps ties in sweep order.
     """
     from . import model
-    plan, pattern = m.model, m.config.pattern
-    if pattern.n_dim > plan.max_n_dim:
+    pattern = m.config.pattern
+    if pattern.n_dim > m.max_n_dim:
         raise ConfigError(
             f"n_dim={pattern.n_dim} exceeds the simulation budget "
-            f"({plan.max_n_dim}): run time grows as N^3 per spec (memory "
+            f"({m.max_n_dim}): run time grows as N^3 per spec (memory "
             f"only as N^2); raise [model] max_n_dim to override"
         )
     specs = m.sweep_specs() if m.sweep is not None and not pattern.is_baseline else [pattern]
 
-    schedule = model.schedule_for_lanes(plan.lanes)
-    model._tile(pattern.n_dim, schedule)  # a tile that cannot fit is refused before out is made
+    model._tile(pattern.n_dim, m.model)  # a tile that cannot fit is refused before out is made
     _make_out(out)
-    scored = [(spec, model.score_spec(spec, schedule)) for spec in specs]
+    scored = [(spec, model.score_spec(spec, m.model)) for spec in specs]
     by_key = sorted(
         scored, key=lambda sr: (sr[0].family.value, sr[0].value_mode.value, sr[0].level)
     )
@@ -322,13 +322,15 @@ def cmd_score(m: ExperimentManifest, out: Path) -> None:
 
 def cmd_fixtures(out: Path) -> None:
     """Emit the embedded recorded-measurement fixtures for inspection/replay."""
+    runs = {run[0]: run[2:] for run in fixtures.iter_fixture_runs()}  # name: (record, timeline)
     _make_out(out)
-    count = 0
-    for name, _spec, record, timeline in fixtures.iter_fixture_runs():
+    with os.scandir(out) as entries:  # a taken run path is refused before any run is written
+        for name in sorted(runs.keys() & {entry.name for entry in entries if not entry.is_dir()}):
+            _make_out(out / name)  # raises the error mkdir gives
+    for name, (record, timeline) in runs.items():
         _make_out(out / name)
         _write_run_dir(out / name, record, {record.timeline_ids[0]: timeline})
-        count += 1
-    _say(f"wrote {count} fixture runs to {out}")
+    _say(f"wrote {len(runs)} fixture runs to {out}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,9 +6,10 @@ A manifest is a single INI-style text file with one section per module
 MANIFEST_KEYS is the list of keys; a key it does not list is a
 configuration error, and an absent key takes the default of the dataclass
 field it sets.  [pattern] and [gemm] load as the GemmConfig a run executes,
-and every part checks its values when the manifest loads.  The canonical
-serialization is deterministic, so manifests round-trip byte-identically
-and can be archived next to their outputs.
+[model] lanes as the Schedule that score runs, and every part checks its
+values when the manifest loads.  The canonical serialization is
+deterministic, so manifests round-trip byte-identically and can be archived
+next to their outputs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from . import fixtures
 from .analysis import DEFAULT_TRIM_FRACTION
 from .errors import ConfigError
 from .records import decode_list, encode
-from .spec import Family, GemmConfig, PatternSpec, ValueMode, write_file
+from .spec import Family, GemmConfig, PatternSpec, Schedule, ValueMode, write_file
 from .telemetry import DEFAULT_INTERVAL_MS
 
 SCHEMA_VERSION = 1
@@ -41,22 +42,6 @@ class SweepPlan:
         if len(set(self.value_modes)) < len(self.value_modes):
             raise ConfigError("sweep value_modes names a value mode twice: "
                               + ",".join(self.value_modes))
-
-
-@dataclass(frozen=True)
-class ModelPlan:
-    # A power of two, as N is, so that the tile derived from it,
-    # model.Schedule(lanes).tile, divides N whenever lanes <= N^2.
-    lanes: int = 1
-    # Run-time guard: scoring costs ~N^3 port cycles per spec, while memory
-    # stays O(N^2) plus about two blocks.
-    max_n_dim: int = 1024
-
-    def __post_init__(self):
-        if self.lanes < 1 or self.lanes & (self.lanes - 1):
-            raise ConfigError(f"lanes must be a power of two, got {self.lanes}")
-        if self.max_n_dim < 2:
-            raise ConfigError(f"max_n_dim must be >= 2, got {self.max_n_dim}")
 
 
 @dataclass(frozen=True)
@@ -84,10 +69,13 @@ class ExperimentManifest:
     repetitions_per_node: int = 1
     out_dir: str = "out"
     sweep: SweepPlan | None = None
-    model: ModelPlan = field(default_factory=ModelPlan)
+    model: Schedule = field(default_factory=Schedule)
+    max_n_dim: int = 1024  # score's guard: ~N^3 port cycles per spec, memory only O(N^2)
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
+        if self.max_n_dim < 2:
+            raise ConfigError(f"max_n_dim must be >= 2, got {self.max_n_dim}")
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(
                 f"unrecognized manifest schema_version {self.schema_version}; "
@@ -141,11 +129,11 @@ MANIFEST_KEYS = (
     ("sweep", "level_max", "sweep.level_max", lambda t: int(t) if t else None),
     ("sweep", "value_modes", "sweep.value_modes", decode_list(",", lambda s: ValueMode(s).value)),
     ("model", "lanes", "model.lanes", int),
-    ("model", "max_n_dim", "model.max_n_dim", int),
+    ("model", "max_n_dim", "max_n_dim", int),
 )
 
 _PARTS = {"": ExperimentManifest, "config": GemmConfig, "config.pattern": PatternSpec,
-          "analysis": AnalysisPlan, "sweep": SweepPlan, "model": ModelPlan}
+          "analysis": AnalysisPlan, "sweep": SweepPlan, "model": Schedule}
 
 
 def manifest_to_text(m: ExperimentManifest) -> str:
@@ -185,7 +173,7 @@ def manifest_from_text(text: str) -> ExperimentManifest:
     config = GemmConfig(pattern=PatternSpec(**parts["config.pattern"]), **parts["config"])
     sweep = SweepPlan(**parts["sweep"]) if cp.has_section("sweep") else None
     return ExperimentManifest(config=config, analysis=AnalysisPlan(**parts["analysis"]),
-                              sweep=sweep, model=ModelPlan(**parts["model"]), **parts[""])
+                              sweep=sweep, model=Schedule(**parts["model"]), **parts[""])
 
 
 def load_manifest(path) -> ExperimentManifest:

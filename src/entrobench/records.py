@@ -72,11 +72,13 @@ def record_to_text(record: RunRecord) -> str:
 
 def record_from_text(text: str) -> RunRecord:
     schema, _, body = text.partition("\n")
-    if not schema.startswith(f"# {RECORD_SCHEMA}"):
+    if schema.rstrip("\r") != f"# {RECORD_SCHEMA}":
         raise FormatError("unrecognized record schema version")
     rows = list(csv.DictReader(io.StringIO(body)))  # a quoted field may hold a line break
     if len(rows) != 1:
         raise FormatError(f"record file must hold exactly one row, got {len(rows)}")
+    if list(rows[0]) != [column for column, _, _ in RECORD_COLUMNS]:  # a long row adds None
+        raise FormatError(f"record columns must be exactly those of {RECORD_SCHEMA}")
     parts = {"config.pattern": {}, "config": {}, "": {}}
     try:
         for column, attr, decode in RECORD_COLUMNS:

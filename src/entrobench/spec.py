@@ -130,6 +130,36 @@ class RunRecord:
     warnings: tuple[str, ...] = ()
 
 
+@dataclass(frozen=True)
+class Schedule:
+    """Lane multiplexing model: interleaved logical threads per FMA port.
+
+    `lanes` threads round-robin on one port, each owning one output cell of
+    a tile of `lanes` cells; tiles are traversed row-major with the k-loop
+    inside.  This is a declared model of warp/SMT time multiplexing, not a
+    claim about any vendor kernel's real schedule.  `lanes` is a power of
+    two, as N is, so that the tile divides N whenever lanes <= N^2.
+    """
+
+    lanes: int = 1
+
+    def __post_init__(self):
+        if self.lanes < 1 or self.lanes & (self.lanes - 1):
+            raise ConfigError(f"lanes must be a power of two, got {self.lanes}")
+
+    @property
+    def tile(self) -> tuple[int, int]:
+        """The most square (tm, tn) tile of `lanes` cells: tn = tm or 2 * tm.
+
+        A square footprint avoids degenerate operand sharing (a 1xL tile
+        reads the same A element on every lane of a cycle, which suppresses
+        A-word toggles for high-entropy inputs and skews comparisons across
+        patterns).
+        """
+        tm = 1 << (self.lanes.bit_length() - 1) // 2
+        return tm, self.lanes // tm
+
+
 def flop_count(n_dim: int, reps: int) -> int:
     """reps * 2 * N^3; the alpha/beta 3N^2 term is excluded by convention."""
     if n_dim < 1 or reps < 1:

@@ -249,13 +249,17 @@ def timeline_to_text(timeline: Timeline) -> str:
 def timeline_from_text(text: str) -> Timeline:
     """Inverse of timeline_to_text; a key the header omits takes Timeline's default."""
     lines = text.splitlines()
-    if not lines or not lines[0].startswith(f"# {TIMELINE_SCHEMA}"):
+    tokens = lines[0].split() if lines else []
+    if tokens[:3] != ["#", *TIMELINE_SCHEMA.split()]:
         raise FormatError("unrecognized timeline schema version")
-    meta = dict(part.split("=", 1) for part in lines[0][2 + len(TIMELINE_SCHEMA):].split()
-                if "=" in part)
+    decoders, meta = dict(TIMELINE_KEYS), {}
     try:
-        header = Timeline(samples=(), **{
-            key: decode(meta[key]) for key, decode in TIMELINE_KEYS if key in meta})
+        for token in tokens[3:]:
+            key, sep, value = token.partition("=")
+            if not sep or key not in decoders or key in meta:
+                raise FormatError(f"{'repeated' if key in meta else 'unknown'} token {token!r}")
+            meta[key] = decoders[key](value)
+        header = Timeline(samples=(), **meta)
     except (ValueError, FormatError) as exc:
         raise FormatError(f"timeline line 1: malformed metadata: {exc}") from exc
     if len(lines) < 2 or lines[1] != TIMELINE_HEADER:

@@ -16,13 +16,13 @@ from entrobench.gemm import GemmConfig
 from entrobench.manifest import (
     AnalysisPlan,
     ExperimentManifest,
-    ModelPlan,
     SweepPlan,
     load_manifest,
     manifest_to_text,
     save_manifest,
 )
 from entrobench.patterns import PatternSpec
+from entrobench.spec import Schedule
 
 
 def write_replay_timeline(path, mean_w=300.0):
@@ -212,7 +212,7 @@ def test_replay_of_run_with_missing_named_timeline_exits_source(tmp_path, capsys
     ("interval_ms", "nan", "sweep"),
     ("interval_ms", "inf", "run"),
     ("interval_ms", "inf", "sweep"),
-    ("lanes", "0", "run"),  # checked by ModelPlan at load
+    ("lanes", "0", "run"),  # checked by Schedule at load
     ("lanes", "0", "sweep"),
     ("lanes", "0", "score"),
     ("max_n_dim", "-5", "run"),
@@ -578,6 +578,18 @@ def test_fixtures_over_a_file_named_like_a_fixture_run_exits_config(tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: cannot create output directory {taken}")
     assert taken.read_text() == "a file\n"
+    assert list(fx.iterdir()) == [taken]  # refused before any run was written
+
+
+def test_fixtures_over_a_dangling_link_named_like_a_fixture_run_writes_nothing(tmp_path, capsys):
+    fx = tmp_path / "fx"
+    fx.mkdir()
+    taken = fx / "rec-baseline_random"
+    taken.symlink_to(tmp_path / "gone")
+    assert main(["--out", str(fx), "fixtures"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: cannot create output directory {taken}")
+    assert list(fx.iterdir()) == [taken]
 
 
 def test_replay_clears_an_earlier_replays_outputs(tmp_path):
@@ -765,7 +777,7 @@ def test_score_writes_ranked_csv(tmp_path, capsys):
         tmp_path / "m.ini",
         pattern=PatternSpec(family="sparse_rowcol", n_dim=16, seed=5),
         sweep=SweepPlan(level_min=0, level_max=3, value_modes=("independent",)),
-        model=ModelPlan(lanes=4),
+        model=Schedule(lanes=4),
     )
     out = tmp_path / "out"
     assert main(["--manifest", str(manifest), "score"]) == 0
@@ -820,7 +832,7 @@ def test_score_survives_a_reader_that_closes_early(tmp_path, capsys, monkeypatch
         tmp_path / "m.ini",
         pattern=PatternSpec(family="sparse_rowcol", n_dim=16, seed=5),
         sweep=SweepPlan(level_min=0, level_max=3),
-        model=ModelPlan(lanes=4),
+        model=Schedule(lanes=4),
     )
     assert main_into_closed_pipe(manifest, "score") == 0
     assert len(read_csv(tmp_path / "out" / "score.csv")) == 8
@@ -858,7 +870,7 @@ def test_score_budget_guard(tmp_path):
     (2**60, f"lanes={2**60} exceeds the 4096 cells of an n_dim=64 output"),
 ])
 def test_score_refuses_a_lane_count_whose_tile_cannot_fit(tmp_path, capsys, lanes, message):
-    manifest = write_manifest(tmp_path / "m.ini", model=ModelPlan(lanes=4))
+    manifest = write_manifest(tmp_path / "m.ini", model=Schedule(lanes=4))
     manifest.write_text(manifest.read_text().replace("\nlanes = 4\n", f"\nlanes = {lanes}\n"))
     start = time.perf_counter()
     assert main(["--manifest", str(manifest), "score"]) == 2
@@ -896,7 +908,7 @@ def test_an_output_path_that_cannot_be_a_directory_exits_config_before_any_work(
     monkeypatch.setattr(model, "score_spec", work)
     out = tmp_path / "taken"
     out.write_text("a file\n")
-    manifest = write_manifest(tmp_path / "m.ini", sweep=SweepPlan(), model=ModelPlan(lanes=4))
+    manifest = write_manifest(tmp_path / "m.ini", sweep=SweepPlan(), model=Schedule(lanes=4))
     _, _, record, timeline = next(fixtures.iter_fixture_runs())
     (tmp_path / "fx").mkdir()
     cli._write_run_dir(tmp_path / "fx", record, {record.timeline_ids[0]: timeline})

@@ -11,7 +11,6 @@ from entrobench.manifest import (
     MANIFEST_KEYS,
     AnalysisPlan,
     ExperimentManifest,
-    ModelPlan,
     SweepPlan,
     load_manifest,
     manifest_digest,
@@ -20,6 +19,7 @@ from entrobench.manifest import (
     save_manifest,
 )
 from entrobench.patterns import PatternSpec
+from entrobench.spec import Schedule
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -31,7 +31,7 @@ def sample_manifest(reps=5, **overrides):
                           reps=reps, warmup_seconds=0.0),
         sources=("replay:tl.csv",),
         sweep=SweepPlan(level_min=1, level_max=4),
-        model=ModelPlan(lanes=4),
+        model=Schedule(lanes=4),
     )
     kw.update(overrides)
     return ExperimentManifest(**kw)
@@ -102,7 +102,7 @@ def test_key_table_covers_each_field_once():
     keys = [(section, key) for section, key, _, _ in MANIFEST_KEYS]
     assert len(set(keys)) == len(keys)
     parts = {"config": GemmConfig, "config.pattern": PatternSpec, "analysis": AnalysisPlan,
-             "sweep": SweepPlan, "model": ModelPlan}
+             "sweep": SweepPlan, "model": Schedule}
     fields = [f.name for f in dataclasses.fields(ExperimentManifest)]
     for part, cls in parts.items():
         fields += [f"{part}.{f.name}" for f in dataclasses.fields(cls)]
@@ -142,7 +142,8 @@ def test_minimal_text_uses_defaults():
     assert m.analysis == AnalysisPlan(tdp_w=400.0, baseline_random_w=398.2,
                                       baseline_fixed_w=238.5, trim_fraction=0.05)
     assert m.config.backend_id == "reference"
-    assert m.model == ModelPlan()
+    assert m.model == Schedule()
+    assert m.max_n_dim == 1024
     assert m.sweep is None
 
 
@@ -202,7 +203,7 @@ def test_validation_errors():
 
 @pytest.mark.parametrize("command", ["run", "score"])
 def test_lane_count_not_a_power_of_two_exits_at_load(tmp_path, capsys, command):
-    # refused by ModelPlan when the manifest loads, for every command,
+    # refused by Schedule when the manifest loads, for every command,
     # although only score reads the lane count
     path = tmp_path / "m.ini"
     text = manifest_to_text(sample_manifest(out_dir=str(tmp_path / "out")))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entrobench.spec
 from entrobench import model, patterns
 from entrobench.errors import ConfigError
 from entrobench.model import (
@@ -20,6 +21,11 @@ from entrobench.patterns import Family, MatrixPair, PatternSpec, ValueMode, gene
 def test_schedule_validation():
     with pytest.raises(ConfigError):
         Schedule(lanes=0)
+
+
+def test_model_scores_with_the_schedule_a_manifest_loads():
+    assert Schedule is entrobench.spec.Schedule
+    assert schedule_for_lanes(4) == entrobench.spec.Schedule(4)
 
 
 # () marks a lane count that is refused: no power-of-two N takes a tile 3 wide

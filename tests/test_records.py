@@ -88,7 +88,15 @@ def test_column_table_covers_each_field_once():
     RECORD_TEXT.replace(",7,", ",seven,"),
     RECORD_TEXT.replace("block_diagonal,", "block_spiral,"),
     RECORD_TEXT + RECORD_TEXT.splitlines()[-1] + "\n",  # two rows
+    RECORD_TEXT.replace("record v1\n", "record v12\n"),  # a newer schema version
+    RECORD_TEXT.replace("record v1\n", "record v1 x\n"),
+    RECORD_TEXT.replace(",warnings\n", ",warnings,extra\n").replace('gap"\n', 'gap",x\n'),
+    RECORD_TEXT.replace('gap"\n', 'gap",x\n'),  # a row longer than the header
 ])
 def test_malformed_record_is_a_format_error(text):
     with pytest.raises(FormatError):
         record_from_text(text)
+
+
+def test_record_with_crlf_line_ends_loads():
+    assert record_from_text(RECORD_TEXT.replace("\n", "\r\n")) == RECORD

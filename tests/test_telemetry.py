@@ -101,6 +101,9 @@ def test_timeline_without_gap_count_loads_with_zero():
 def test_timeline_text_rejects_unknown_schema_and_dupes():
     with pytest.raises(FormatError):
         timeline_from_text("# other-schema v9\nt_ms,watts,source\n")
+    for version in ("v12", "v1x"):  # not read as v1
+        with pytest.raises(FormatError, match="unrecognized timeline schema version"):
+            timeline_from_text(f"# entrobench-timeline {version} source=x\nt_ms,watts,source\n")
     with pytest.raises(FormatError, match="expected header"):
         timeline_from_text("# entrobench-timeline v1 source=x\nt_ms,watts\n0.0,1.0,x\n")
     tl_text = (
@@ -172,6 +175,11 @@ def test_timeline_header_without_keys_loads_with_the_timeline_defaults():
     ("source=x interval_ms=-1.0", "10.0,1.0,x", "line 1"),
     ("source=x interval_ms=nan", "10.0,1.0,x", "line 1"),
     ("source=x interval_ms=inf", "10.0,1.0,x", "line 1"),
+    ("source=x intervl_ms=10", "10.0,1.0,x", "line 1"),  # a key TIMELINE_KEYS does not name
+    ("source=x interval_ms=50.0 interval_ms=20.0", "10.0,1.0,x", "line 1"),  # a key twice
+    ("source=x junk", "10.0,1.0,x", "line 1"),  # a token that is not key=value
+    ("source=x samples=3", "10.0,1.0,x", "line 1"),
+    ("source=x intervl_ms=10 interval_ms=50.0 interval_ms=20.0 junk", "10.0,1.0,x", "line 1"),
 ])
 def test_timeline_text_refusals_name_their_line(meta, rows, line):
     with pytest.raises(FormatError) as err:
