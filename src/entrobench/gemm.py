@@ -11,6 +11,7 @@ and C.  FLOP accounting uses the standard 2*N^3 per multiplication.
 
 from __future__ import annotations
 
+import functools
 import subprocess
 import time
 from dataclasses import dataclass
@@ -46,28 +47,97 @@ def _check_writable(c: np.ndarray) -> None:
         raise ConfigError("C is read-only, but a backend overwrites it in place")
 
 
+def _loop_rows(a_rows, b, acc, prod) -> None:
+    """acc <- a_rows*B by the k-outer ufunc loop.
+
+    For k = 0..N-1, the rounded products A[i,k]*B[k,j] go into prod and are
+    added in place to acc, started at +0.0.  Each multiply-add moves five
+    words and costs two Python-level ufunc calls per k, but numpy checks and
+    reports its floating-point errors.
+    """
+    acc.fill(0.0)
+    for k in range(len(b)):
+        np.multiply(a_rows[:, k:k + 1], b[k], out=prod)
+        np.add(acc, prod, out=acc)
+
+
+def _einsum_rows(a_rows, b, acc) -> bool:
+    """acc <- a_rows*B in one einsum call; False if acc may hold inf or NaN.
+
+    einsum zeroes acc and runs acc[i, j] += A[i,k]*B[k,j] for ascending k,
+    rounding each product before the add, so where no fused multiply-add is
+    compiled in, every cell gets the _loop_rows operations in their order.
+    It moves three words per multiply-add, with no Python call per k, but it
+    reports no floating-point errors.  inf and NaN absorb under addition, so
+    a finite sum of acc shows that no overflow or invalid operation happened.
+    """
+    np.einsum("ik,kj->ij", a_rows, b, out=acc, optimize=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(np.add.reduce(acc, axis=None)))
+
+
+@functools.cache
+def _einsum_is_exact() -> bool:
+    """Whether _einsum_rows gives _loop_rows's bits; checked once per process.
+
+    A numpy built for a baseline with FMA (aarch64, x86-64-v3) fuses the
+    einsum loop.  The check runs both kernels on hand-built operands, in a
+    one-row and a five-row block; N = 67 runs the vector loop and its
+    scalar tail.  The operands are built in place from np.arange and the
+    results compared as bytes, since a Generator or np.array_equal would
+    add to the process's peak memory.
+    """
+    n = 67
+    # Full-width mantissas of both signs, scaled by 2**0..2**20 in a
+    # cycle that differs per cell, so that fusion, or swapping any two
+    # terms other than the first two, changes the bits of some cell.
+    a = np.arange(5 * n, dtype=np.float64).reshape(5, n)
+    b = np.arange(n * n, dtype=np.float64).reshape(n, n)
+    for m, step, cycle in ((a, 0.6180339887498949, 7), (b, 0.7548776662466927, 3)):
+        m *= step
+        m %= 1.0
+        m -= 0.5
+        for r, row in enumerate(m):
+            row *= np.ldexp(1.0, (np.arange(n) + r * n) * cycle % 11 * 2)
+
+    def same_bits(rows: int) -> bool:
+        got, want, prod = (_aligned_empty((rows, n)) for _ in range(3))
+        _einsum_rows(a[:rows], b, got)
+        _loop_rows(a[:rows], b, want, prod)
+        return got.tobytes() == want.tobytes()
+
+    return same_bits(1) and same_bits(5)
+
+
 def reference_gemm(a, b, c: np.ndarray, alpha: float = 1.0, beta: float = 1.0) -> None:
     """C <- alpha*A*B + beta*C in place, with ascending-k per-cell summation.
 
-    Output rows are computed in blocks of about GEMM_BLOCK elements, with
-    k = 0..N-1 in the outer loop: each block's rounded products
-    A[i,k]*B[k,j] go into one buffer and are added in place to an
-    accumulator started at 0.0, then alpha*acc + beta*C overwrites that
-    block of C.  Each cell thus gets the same additions in the same order
-    as in a scalar triple loop, so results are bit-reproducible and
-    bit-identical to it, infinities and signed zeros included.  NaN cells
-    are in the same places, but where two NaNs meet, the sign of the result
-    is unspecified by IEEE 754 and follows numpy's loop length and operand
-    order, so it may differ.  Overflow and invalid-operation
-    RuntimeWarnings are raised as numpy raises them, under the caller's
-    error state.
+    Output rows are computed in blocks of about GEMM_BLOCK elements.  Each
+    block's accumulator holds its rows of A*B, summed from +0.0 over
+    k = 0..N-1 with each product A[i,k]*B[k,j] rounded before the add; then
+    alpha*acc + beta*C overwrites that block of C.  Each cell thus gets the
+    same additions in the same order as in a scalar triple loop, so results
+    are bit-reproducible and bit-identical to it, infinities and signed
+    zeros included.  NaN cells are in the same places, but where two NaNs
+    meet, the sign of the result is unspecified by IEEE 754 and follows
+    numpy's loop length and operand order, so it may differ.  Overflow and
+    invalid-operation RuntimeWarnings are raised as numpy raises them, under
+    the caller's error state.
 
-    The kernel is not bound by memory traffic.  At numpy's default ufunc
+    A block is filled in one einsum pass (_einsum_rows), which runs about
+    twice as fast as the k-outer ufunc loop (_loop_rows).  The loop fills it
+    instead when _einsum_is_exact's first-use check failed, when A or B is
+    not C-contiguous, when the caller's error state does not ignore
+    underflow (einsum reports none), and, for that block only, when the
+    einsum result is not finite, so that numpy reports the overflow or
+    invalid operation as before.  Every call does all 2*N^3 FLOPs.
+
+    The loop runs with a ufunc buffer of about two rows: at numpy's default
     buffer size (8192 elements) the broadcast multiply copies its N-long
-    rows through the iterator's buffers, which makes the kernel about
-    twice as slow.  The loop therefore runs with a buffer of about two
-    rows, set inside np.errstate, which gives the caller's buffer size
-    back on exit, also when a FloatingPointError is raised.
+    rows through the iterator's buffers, which makes the loop about twice
+    as slow.  The buffer size is set inside np.errstate, which gives the
+    caller's buffer size back on exit, also when a FloatingPointError is
+    raised.
 
     C must be a writable N x N float64 ndarray.  Each block of C is read
     before it is written, so working memory is only the two blocks.  A C
@@ -85,6 +155,8 @@ def reference_gemm(a, b, c: np.ndarray, alpha: float = 1.0, beta: float = 1.0) -
             raise ConfigError(f"operands must all be {n}x{n}, got {m.shape}")
     if np.may_share_memory(c, a) or np.may_share_memory(c, b):
         raise ConfigError("C must not share memory with A or B")
+    one_pass = (a.flags.c_contiguous and b.flags.c_contiguous
+                and np.geterr()["under"] == "ignore" and _einsum_is_exact())
     rows = max(1, GEMM_BLOCK // max(n, 1))
     acc_buf = _aligned_empty((min(rows, n), n))
     prod_buf = _aligned_empty(acc_buf.shape)
@@ -94,10 +166,8 @@ def reference_gemm(a, b, c: np.ndarray, alpha: float = 1.0, beta: float = 1.0) -
         for i0 in range(0, n, rows):
             i1 = min(i0 + rows, n)
             acc, prod = acc_buf[:i1 - i0], prod_buf[:i1 - i0]
-            acc.fill(0.0)
-            for k in range(n):
-                np.multiply(a[i0:i1, k:k + 1], b[k], out=prod)
-                np.add(acc, prod, out=acc)
+            if not (one_pass and _einsum_rows(a[i0:i1], b, acc)):
+                _loop_rows(a[i0:i1], b, acc, prod)
             np.multiply(alpha, acc, out=acc)
             np.multiply(beta, c[i0:i1], out=prod)
             np.add(acc, prod, out=c[i0:i1])

@@ -1,3 +1,4 @@
+import functools
 import sys
 import threading
 
@@ -31,6 +32,26 @@ def naive_gemm(a, b, c, alpha, beta):
                 acc = acc + a[i][k] * b[k][j]
             out[i][j] = alpha * acc + beta * c[i][j]
     return np.array(out)
+
+
+@pytest.fixture
+def kernels(monkeypatch):
+    """kernels() forces reference_gemm onto each of its kernels in turn.
+
+    It yields "einsum" with the first-use check forced to pass, then "loop"
+    with it forced to fail.  The einsum pass is left out where this
+    numpy's einsum fails the real check, since reference_gemm never runs
+    it there.  The tests keep one id each and run both kernels in the body.
+    """
+    checked = gemm._einsum_is_exact()
+
+    def each():
+        for kernel, verdict in (("einsum", True), ("loop", False)):
+            if verdict and not checked:
+                continue
+            monkeypatch.setattr(gemm, "_einsum_is_exact", lambda verdict=verdict: verdict)
+            yield kernel
+    return each
 
 
 def test_identity_case():
@@ -70,47 +91,48 @@ def test_dimension_mismatch():
         reference_gemm(np.zeros((2, 2)), np.zeros((3, 3)), np.zeros((2, 2)))
 
 
-def test_bit_for_bit_vs_naive_oracle():
+def assert_same_bits(got, want, kernel=""):
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), err_msg=kernel)
+
+
+def test_bit_for_bit_vs_naive_oracle(kernels):
     rng = np.random.default_rng(11)
     for _ in range(20):
         n = int(rng.integers(2, 17))
         a, b, c = rng.random((n, n)), rng.random((n, n)), rng.random((n, n))
         alpha, beta = float(rng.random()), float(rng.random())
-        got = c.copy()
-        reference_gemm(a, b, got, alpha, beta)
         want = naive_gemm(a.tolist(), b.tolist(), c.tolist(), alpha, beta)
-        np.testing.assert_array_equal(
-            got.view(np.uint64), want.view(np.uint64)
-        )
-
-
-def assert_same_bits(got, want):
-    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        for kernel in kernels():
+            got = c.copy()
+            reference_gemm(a, b, got, alpha, beta)
+            assert_same_bits(got, want, kernel)
 
 
 @pytest.mark.parametrize("block_rows", [1, 3])
 @pytest.mark.parametrize("n", [1, 2, 5, 17, 64])
-def test_row_blocks_match_naive_oracle(monkeypatch, n, block_rows):
+def test_row_blocks_match_naive_oracle(monkeypatch, kernels, n, block_rows):
     monkeypatch.setattr(gemm, "GEMM_BLOCK", block_rows * n)
     rng = np.random.default_rng(n)
     a, b, c = rng.standard_normal((3, n, n))
     cases = [
         (a, b, c),
         (a.T, b.T, c.T),
+        (a, b.T, c),  # einsum sums a transposed B in another order
         (np.asfortranarray(a), np.asfortranarray(b), np.asfortranarray(c)),
         (*rng.integers(-9, 10, (2, n, n)), rng.integers(-9, 10, (n, n)).astype(np.float64)),
     ]
     for a, b, c in cases:
         saved = a.copy(), b.copy()
-        got = c.copy(order="K")  # keeps c's layout: C order, transposed or Fortran
-        reference_gemm(a, b, got, 1.5, -0.75)
         want = naive_gemm(a.tolist(), b.tolist(), c.tolist(), 1.5, -0.75)
-        assert_same_bits(got, want)
-        for m, before in zip((a, b), saved):
-            np.testing.assert_array_equal(m, before)
+        for kernel in kernels():
+            got = c.copy(order="K")  # keeps c's layout: C order, transposed or Fortran
+            reference_gemm(a, b, got, 1.5, -0.75)
+            assert_same_bits(got, want, kernel)
+            for m, before in zip((a, b), saved):
+                np.testing.assert_array_equal(m, before)
 
 
-def test_special_values_match_scalar_loop():
+def test_special_values_match_scalar_loop(kernels):
     """inf, -0.0, overflow and NaN: every non-NaN cell has the scalar
     loop's bits and NaN cells are in the same places; NaN signs may differ."""
     rng = np.random.default_rng(3)
@@ -120,17 +142,19 @@ def test_special_values_match_scalar_loop():
             mats = rng.standard_normal((3, n, n))
             mask = rng.random(mats.shape) < 0.4
             mats[mask] = rng.choice(specials, int(mask.sum()))
-            got = mats[2].copy()
-            with np.errstate(all="ignore"):
-                reference_gemm(mats[0], mats[1], got, alpha, beta)
             want = naive_gemm(*(m.tolist() for m in mats), alpha, beta)
             nan = np.isnan(want)
-            np.testing.assert_array_equal(np.isnan(got), nan)
-            assert_same_bits(got[~nan], want[~nan])
-    # -0.0 products summed from +0.0 give +0.0, as in the scalar loop
-    got = np.array([[-0.0]])
-    reference_gemm([[-0.0]], [[1.0]], got, beta=0.0)
-    assert_same_bits(got, np.array([[0.0]]))
+            for kernel in kernels():
+                got = mats[2].copy()
+                with np.errstate(all="ignore"):
+                    reference_gemm(mats[0], mats[1], got, alpha, beta)
+                np.testing.assert_array_equal(np.isnan(got), nan, err_msg=kernel)
+                assert_same_bits(got[~nan], want[~nan], kernel)
+    for kernel in kernels():
+        # -0.0 products summed from +0.0 give +0.0, as in the scalar loop
+        got = np.array([[-0.0]])
+        reference_gemm([[-0.0]], [[1.0]], got, beta=0.0)
+        assert_same_bits(got, np.array([[0.0]]), kernel)
 
 
 def test_overflow_and_invalid_still_warn():
@@ -146,37 +170,85 @@ def test_overflow_and_invalid_still_warn():
 
 
 @pytest.mark.parametrize("n", [7, 100])  # 2 N is not a multiple of 16
-def test_callers_buffer_size_and_error_state_are_kept(n):
+def test_callers_buffer_size_and_error_state_are_kept(kernels, n):
     rng = np.random.default_rng(n)
     a, b, c = rng.standard_normal((3, n, n))
     want = naive_gemm(a.tolist(), b.tolist(), c.tolist(), 1.5, -0.75)
-    state = np.getbufsize(), np.geterr()
-    got = c.copy()
-    reference_gemm(a, b, got, 1.5, -0.75)
-    assert_same_bits(got, want)
-    assert (np.getbufsize(), np.geterr()) == state
     huge = a.copy()
     huge[:, -1] = 1e300  # overflows at the last k, partway through
-    with np.errstate(over="raise"):
-        np.setbufsize(4096)
+    for kernel in kernels():
         state = np.getbufsize(), np.geterr()
         got = c.copy()
         reference_gemm(a, b, got, 1.5, -0.75)
-        assert_same_bits(got, want)
+        assert_same_bits(got, want, kernel)
         assert (np.getbufsize(), np.geterr()) == state
-        with pytest.raises(FloatingPointError):
-            reference_gemm(huge, huge, got)
-        assert (np.getbufsize(), np.geterr()) == state
+        with np.errstate(over="raise"):
+            np.setbufsize(4096)
+            state = np.getbufsize(), np.geterr()
+            got = c.copy()
+            reference_gemm(a, b, got, 1.5, -0.75)
+            assert_same_bits(got, want, kernel)
+            assert (np.getbufsize(), np.geterr()) == state
+            with pytest.raises(FloatingPointError):
+                reference_gemm(huge, huge, got)
+            assert (np.getbufsize(), np.geterr()) == state
 
 
-def test_in_place_working_memory_is_two_blocks(traced_peak):
+def test_underflow_is_still_signalled(kernels):
+    tiny = np.full((2, 2), 1e-200)  # each product underflows to 0.0; einsum reports none
+    for kernel in kernels():
+        with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
+            reference_gemm(tiny, tiny, np.zeros((2, 2)))
+
+
+def ascending_k(subscripts, a, b, out, optimize):
+    """The k-outer ufunc loop's operations, in its order."""
+    out.fill(0.0)
+    for k in range(len(b)):
+        out += a[:, k:k + 1] * b[k]
+
+
+def descending_k(subscripts, a, b, out, optimize):
+    """The same products, summed from k = N-1 down to 0."""
+    out.fill(0.0)
+    for k in reversed(range(len(b))):
+        out += a[:, k:k + 1] * b[k]
+
+
+def long_double(subscripts, a, b, out, optimize):
+    """Products and sums kept in long double, as a fused multiply-add keeps each product."""
+    acc = np.zeros(out.shape, np.longdouble)
+    for k in range(len(b)):
+        acc += a[:, k:k + 1].astype(np.longdouble) * b[k]
+    out[...] = acc
+
+
+@pytest.mark.parametrize("einsum, exact", [
+    (ascending_k, True), (descending_k, False), (long_double, False)])
+def test_first_use_check_refuses_an_inexact_einsum(monkeypatch, einsum, exact):
+    if einsum is long_double and np.finfo(np.longdouble).nmant <= 52:
+        pytest.skip("long double is double here")
+    monkeypatch.setattr(np, "einsum", einsum)
+    unchecked = functools.cache(gemm._einsum_is_exact.__wrapped__)
+    monkeypatch.setattr(gemm, "_einsum_is_exact", unchecked)
+    rng = np.random.default_rng(4)
+    a, b, c = rng.standard_normal((3, 9, 9))
+    got = c.copy()
+    reference_gemm(a, b, got, 1.5, -0.75)
+    assert unchecked.cache_info().misses == 1  # checked at first use
+    assert unchecked() is exact
+    assert_same_bits(got, naive_gemm(a.tolist(), b.tolist(), c.tolist(), 1.5, -0.75))
+
+
+def test_in_place_working_memory_is_two_blocks(kernels, traced_peak):
     n = 256
     rng = np.random.default_rng(1)
     a, b, c = rng.random((3, n, n))
-    peak = traced_peak(lambda: reference_gemm(a, b, c, 1.5, 0.5))
-    # 2 x 256 KiB blocks; copying the multiply through numpy's default
-    # 8192-element ufunc buffers would add about 130 KB more
-    assert peak < 560_000, peak
+    for kernel in kernels():
+        peak = traced_peak(lambda: reference_gemm(a, b, c, 1.5, 0.5))
+        # 2 x 256 KiB blocks; copying the multiply through numpy's default
+        # 8192-element ufunc buffers would add about 130 KB more
+        assert peak < 560_000, (kernel, peak)
 
 
 def test_c_that_may_share_memory_with_an_operand_is_refused():
