@@ -112,11 +112,11 @@ def _write_series(runs, out: Path, plan: AnalysisPlan) -> dict[str, float]:
             for family, by_node in baselines.items()}
 
 
-def _write_run_dir(run_dir: Path, record, timelines) -> None:
+def _write_run_dir(run_dir, record, timelines) -> None:
     """record.csv and one timeline-<id>.csv per timeline; _load_run_dir reads them back."""
-    records.write_record(record, run_dir / "record.csv")
+    records.write_record(record, os.path.join(run_dir, "record.csv"))
     for tid, timeline in timelines.items():
-        telemetry.write_timeline(timeline, run_dir / f"timeline-{tid}.csv")
+        telemetry.write_timeline(timeline, os.path.join(run_dir, f"timeline-{tid}.csv"))
 
 
 def _outputs(directory: Path, globs) -> list[Path]:
@@ -176,22 +176,28 @@ def execute_run(m: ExperimentManifest, run_dir: Path, run_index: int = 0):
         raise
 
 
-def _load_run_dir(run_dir: Path):
+def _load_run_dir(run_dir):
     """A run's record and the timelines it names; other files are ignored."""
-    record = records.read_record(run_dir / "record.csv")
+    try:
+        record = records.read_record(os.path.join(run_dir, "record.csv"))
+    except OSError as exc:
+        raise FormatError(f"cannot read record: {exc}") from exc
     timelines = {}
     for tid in record.timeline_ids:
-        path = run_dir / f"timeline-{tid}.csv"
         try:
-            timelines[tid] = telemetry.read_timeline(path)
+            timelines[tid] = telemetry.read_timeline(os.path.join(run_dir, f"timeline-{tid}.csv"))
         except OSError as exc:
             raise FormatError(f"record names timeline {tid!r}: {exc}") from exc
     return record, timelines
 
 
 def discover_run_dirs(paths) -> list[Path]:
-    """Every directory at or below each path that holds a record.csv."""
-    return sorted({record.parent for path in paths for record in Path(path).glob("**/record.csv")})
+    """Every directory at or below each path whose record.csv is a file, in Path order.
+
+    Links to directories below a path are not followed.
+    """
+    return sorted({Path(dirpath) for path in paths for dirpath, _, files in os.walk(path)
+                   if "record.csv" in files and os.path.isfile(os.path.join(dirpath, "record.csv"))})
 
 
 def _say(line: str) -> None:
@@ -328,8 +334,14 @@ def cmd_fixtures(out: Path) -> None:
         for name in sorted(runs.keys() & {entry.name for entry in entries if not entry.is_dir()}):
             _make_out(out / name)  # raises the error mkdir gives
     for name, (record, timeline) in runs.items():
-        _make_out(out / name)
-        _write_run_dir(out / name, record, {record.timeline_ids[0]: timeline})
+        run_dir = os.path.join(out, name)
+        try:
+            os.mkdir(run_dir)
+        except FileExistsError:
+            pass  # a directory: the scan above refused every other taken path
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {run_dir}: {exc}") from exc
+        _write_run_dir(run_dir, record, {record.timeline_ids[0]: timeline})
     _say(f"wrote {len(runs)} fixture runs to {out}")
 
 

@@ -11,7 +11,15 @@ import io
 from operator import attrgetter
 
 from .errors import ConfigError, FormatError
-from .spec import Family, GemmConfig, PatternSpec, RunRecord, ValueMode, write_file
+from .spec import (
+    Family,
+    GemmConfig,
+    PatternSpec,
+    RunRecord,
+    ValueMode,
+    read_text,
+    write_file,
+)
 
 RECORD_SCHEMA = "entrobench-record v1"
 
@@ -61,33 +69,42 @@ RECORD_COLUMNS = (
 )
 
 
+# Built once from RECORD_COLUMNS: the schema and header lines, a getter per
+# column, and per column the (part, name, decode) that record_from_text fills,
+# part being config.pattern, config or "" (the record itself).
+_SCHEMA_LINE = f"# {RECORD_SCHEMA}"
+_COLUMN_NAMES = [column for column, _, _ in RECORD_COLUMNS]
+_HEADER_TEXT = f"{_SCHEMA_LINE}\n{','.join(_COLUMN_NAMES)}\n"
+_GETTERS = tuple(attrgetter(attr) for _, attr, _ in RECORD_COLUMNS)
+_FIELDS = tuple((*attr.rpartition(".")[::2], decode) for _, attr, decode in RECORD_COLUMNS)
+
+
 def record_to_text(record: RunRecord) -> str:
     buf = io.StringIO()
-    buf.write(f"# {RECORD_SCHEMA}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([column for column, _, _ in RECORD_COLUMNS])
-    writer.writerow([encode(attrgetter(attr)(record), ";") for _, attr, _ in RECORD_COLUMNS])
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerow([encode(get(record), ";") for get in _GETTERS])
+    return _HEADER_TEXT + buf.getvalue()
 
 
 def record_from_text(text: str) -> RunRecord:
     schema, _, body = text.partition("\n")
-    if schema.rstrip("\r") != f"# {RECORD_SCHEMA}":
+    if schema.rstrip("\r") != _SCHEMA_LINE:
         raise FormatError("unrecognized record schema version")
-    rows = list(csv.DictReader(io.StringIO(body)))  # a quoted field may hold a line break
-    if len(rows) != 1:
-        raise FormatError(f"record file must hold exactly one row, got {len(rows)}")
-    if list(rows[0]) != [column for column, _, _ in RECORD_COLUMNS]:  # a long row adds None
+    # A quoted field may hold a line break; blank lines are skipped.
+    rows = [row for row in csv.reader(io.StringIO(body)) if row]
+    if len(rows) != 2:
+        raise FormatError(f"record file must hold exactly one row, got {max(len(rows) - 1, 0)}")
+    header, values = rows
+    if header != _COLUMN_NAMES or len(values) > len(header):
         raise FormatError(f"record columns must be exactly those of {RECORD_SCHEMA}")
+    if len(values) < len(header):
+        raise FormatError(f"malformed record file: {len(values)} values for {len(header)} columns")
     parts = {"config.pattern": {}, "config": {}, "": {}}
     try:
-        for column, attr, decode in RECORD_COLUMNS:
-            part, _, name = attr.rpartition(".")
-            parts[part][name] = decode(rows[0][column])
+        for (part, name, decode), value in zip(_FIELDS, values):
+            parts[part][name] = decode(value)
         config = GemmConfig(pattern=PatternSpec(**parts["config.pattern"]), **parts["config"])
         return RunRecord(config=config, **parts[""])
-    # A short row reads None; a value PatternSpec or GemmConfig refuses is malformed too.
-    except (AttributeError, ConfigError, KeyError, TypeError, ValueError) as exc:
+    except (ConfigError, ValueError) as exc:  # a value PatternSpec or GemmConfig refuses, too
         raise FormatError(f"malformed record file: {exc}") from exc
 
 
@@ -96,5 +113,4 @@ def write_record(record: RunRecord, path) -> None:
 
 
 def read_record(path) -> RunRecord:
-    with open(path, encoding="utf-8", newline="") as fh:  # keep a field's "\r"
-        return record_from_text(fh.read())
+    return record_from_text(read_text(path))

@@ -15,7 +15,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 
 # Splitting constant so A and B get decorrelated streams from one user seed.
 SEED_SPLIT = 0x9E3779B97F4A7C15
@@ -184,3 +184,18 @@ def write_file(path, data) -> None:
         os.ftruncate(fd, view.nbytes)
     finally:
         os.close(fd)
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of the file at path, its line ends kept as written.
+
+    The file is read as bytes and decoded whole; bytes that are not UTF-8
+    are a FormatError that names the file.  Errors opening or reading the
+    file propagate as OSError, for the caller to say what the file was.
+    """
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc

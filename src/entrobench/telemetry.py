@@ -11,7 +11,6 @@ samples for gaps.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import threading
 import time
@@ -19,7 +18,7 @@ from dataclasses import dataclass, replace
 
 from .errors import FormatError, SourceError
 from .records import encode
-from .spec import write_file
+from .spec import read_text, write_file
 
 DEFAULT_INTERVAL_MS = 100.0
 MAX_CONSECUTIVE_FAILURES = 10
@@ -238,28 +237,30 @@ def parse_pm_counters(text: str) -> PowerSample:
 
 def timeline_to_text(timeline: Timeline) -> str:
     """Bit-exact CSV form: schema comment with TIMELINE_KEYS, header, one sample per row."""
-    out = io.StringIO()
     meta = " ".join(f"{key}={encode(getattr(timeline, key), '')}" for key, _ in TIMELINE_KEYS)
-    out.write(f"# {TIMELINE_SCHEMA} {meta}\n{TIMELINE_HEADER}\n")
-    for s in timeline.samples:
-        out.write(f"{s.t_ms!r},{s.watts!r},{timeline.source}\n")
-    return out.getvalue()
+    row_end = f",{timeline.source}\n"
+    return "".join([f"# {TIMELINE_SCHEMA} {meta}\n{TIMELINE_HEADER}\n",
+                    *[f"{s.t_ms!r},{s.watts!r}{row_end}" for s in timeline.samples]])
+
+
+_SCHEMA_TOKENS = ["#", *TIMELINE_SCHEMA.split()]
+_DECODERS = dict(TIMELINE_KEYS)
 
 
 def timeline_from_text(text: str) -> Timeline:
     """Inverse of timeline_to_text; a key the header omits takes Timeline's default."""
     lines = text.splitlines()
     tokens = lines[0].split() if lines else []
-    if tokens[:3] != ["#", *TIMELINE_SCHEMA.split()]:
+    if tokens[:3] != _SCHEMA_TOKENS:
         raise FormatError("unrecognized timeline schema version")
-    decoders, meta = dict(TIMELINE_KEYS), {}
+    meta = {}
     try:
         for token in tokens[3:]:
             key, sep, value = token.partition("=")
-            if not sep or key not in decoders or key in meta:
+            if not sep or key not in _DECODERS or key in meta:
                 raise FormatError(f"{'repeated' if key in meta else 'unknown'} token {token!r}")
-            meta[key] = decoders[key](value)
-        header = Timeline(samples=(), **meta)
+            meta[key] = _DECODERS[key](value)
+        source = Timeline(samples=(), **meta).source  # checks the metadata before any row
     except (ValueError, FormatError) as exc:
         raise FormatError(f"timeline line 1: malformed metadata: {exc}") from exc
     if len(lines) < 2 or lines[1] != TIMELINE_HEADER:
@@ -269,12 +270,12 @@ def timeline_from_text(text: str) -> Timeline:
         if not row:
             continue
         try:
-            samples.append(PowerSample(t_ms=float(row[0]), watts=float(row[1])))
-            if row[2] != header.source:
-                raise FormatError(f"label {row[2]!r} is not the header's {header.source!r}")
+            samples.append(PowerSample(float(row[0]), float(row[1])))
+            if row[2] != source:
+                raise FormatError(f"label {row[2]!r} is not the header's {source!r}")
         except (IndexError, ValueError, FormatError) as exc:
             raise FormatError(f"timeline line {line_no}: malformed row {row!r}: {exc}") from exc
-    return replace(header, samples=tuple(samples))
+    return Timeline(tuple(samples), **meta)
 
 
 def write_timeline(timeline: Timeline, path) -> None:
@@ -282,5 +283,4 @@ def write_timeline(timeline: Timeline, path) -> None:
 
 
 def read_timeline(path) -> Timeline:
-    with open(path, encoding="utf-8") as fh:
-        return timeline_from_text(fh.read())
+    return timeline_from_text(read_text(path))

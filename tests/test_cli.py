@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 from entrobench import cli, fixtures, gemm, records, telemetry
 from entrobench.cli import main
-from entrobench.errors import SourceError
+from entrobench.errors import FormatError, SourceError
 from entrobench.gemm import GemmConfig
 from entrobench.manifest import (
     AnalysisPlan,
@@ -177,6 +178,38 @@ def test_replay_of_run_with_missing_named_timeline_exits_source(tmp_path, capsys
     (out / "timeline-replay-0.csv").unlink()
     assert main(["--out", str(tmp_path / "rp"), "replay", str(out)]) == 3
     assert "replay-0" in capsys.readouterr().err
+
+
+def write_fixture_run(run_dir):
+    """The first embedded fixture run, written into run_dir."""
+    _, _, record, timeline = next(fixtures.iter_fixture_runs())
+    run_dir.mkdir(parents=True)
+    cli._write_run_dir(run_dir, record, {record.timeline_ids[0]: timeline})
+
+
+@pytest.mark.parametrize("name", ["record.csv", "timeline-fixture-0.csv"])
+def test_replay_of_a_run_file_that_is_not_utf8_exits_source(tmp_path, capsys, name):
+    write_fixture_run(tmp_path / "fx" / "run")
+    path = tmp_path / "fx" / "run" / name
+    path.write_bytes(path.read_bytes().replace(b"fixture", b"fixt\xfcre"))  # Latin-1
+    assert main(["--out", str(tmp_path / "rp"), "replay", str(tmp_path / "fx")]) == 3
+    assert f"source/backend error: {path} is not UTF-8 text" in capsys.readouterr().err
+
+
+def test_a_replay_source_that_is_not_utf8_exits_source(tmp_path, capsys):
+    tl = tmp_path / "recorded.csv"
+    write_replay_timeline(tl)
+    tl.write_bytes(tl.read_bytes().replace(b"fixture", b"fixt\xfcre"))
+    manifest = write_manifest(tmp_path / "m.ini", sources=(f"replay:{tl}",))
+    assert main(["--manifest", str(manifest), "run"]) == 3
+    assert f"{tl} is not UTF-8 text" in capsys.readouterr().err
+    failed = (tmp_path / "out" / "failed").read_text().splitlines()
+    assert failed[:2] == ["phase=telemetry-setup", "type=FormatError"]
+
+
+def test_a_record_that_cannot_be_read_is_a_format_error_naming_it(tmp_path):
+    with pytest.raises(FormatError, match=re.escape(str(tmp_path / "record.csv"))):
+        cli._load_run_dir(tmp_path)
 
 
 @pytest.mark.parametrize("key,value,command", [
@@ -522,6 +555,28 @@ def test_fixtures_then_replay_reproduces_headline(tmp_path, capsys):
         256.6622386211853, rel=1e-12)
 
 
+def tree_digest(root):
+    """One sha256 over the relative name and the bytes of every file below root."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
+
+
+def test_fixtures_and_their_replay_write_pinned_bytes(tmp_path):
+    """What fixtures and replay write is pinned byte for byte, so no codec change can move it."""
+    fx, rp = tmp_path / "fx", tmp_path / "rp"
+    assert main(["--out", str(fx), "fixtures"]) == 0
+    assert main(["--out", str(rp), "replay", str(fx)]) == 0
+    assert len(list(fx.rglob("*.csv"))) == 2 * 122
+    assert tree_digest(fx) == "f19f8f5c53961699440c148f89053a86f05abc6f1921634804b64a76db3c21e5"
+    assert len(list(rp.glob("series-*.csv"))) == 8
+    assert sorted(p.name for p in rp.iterdir() if not p.name.startswith("series-")) == [
+        "report.txt", "summary.csv"]
+    assert tree_digest(rp) == "45a1ff0880e48d1d0c8a237591ea32b2b67430527fedadda10302aae682658eb"
+
+
 def fresh_python(code, *args):
     """Run code in a new interpreter that imports entrobench from this checkout."""
     src = str(Path(cli.__file__).parents[1])
@@ -690,6 +745,20 @@ def test_replay_writes_series_levels_ascending_whatever_the_directory_order(tmp_
     rows = read_csv(rp / "series-block_rowcol-independent.csv")
     assert [(int(r["level"]), float(r["mean_w"])) for r in rows] == [
         (0, 300.0), (1, 301.0), (2, 302.0)]
+
+
+def test_replay_finds_run_directories_in_path_order_without_following_links(tmp_path):
+    root, elsewhere = tmp_path / "root", tmp_path / "elsewhere"
+    for run_dir in (root / "a", root / "a" / "run-000", root / "a-b", root / ".hidden", elsewhere):
+        write_fixture_run(run_dir)
+    (root / "link").symlink_to(elsewhere, target_is_directory=True)
+    (root / "dirrec" / "record.csv").mkdir(parents=True)  # a directory marks no run
+    # Path order compares part by part: a string sort puts a-b before a/run-000.
+    assert cli.discover_run_dirs([root]) == [
+        root / ".hidden", root / "a", root / "a" / "run-000", root / "a-b"]
+    rp = tmp_path / "rp"
+    assert main(["--out", str(rp), "replay", str(root)]) == 0
+    assert len(read_csv(rp / "summary.csv")) == 4
 
 
 def test_replay_with_no_runs_exits_config(tmp_path):

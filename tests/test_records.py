@@ -92,6 +92,9 @@ def test_column_table_covers_each_field_once():
     RECORD_TEXT.replace("record v1\n", "record v1 x\n"),
     RECORD_TEXT.replace(",warnings\n", ",warnings,extra\n").replace('gap"\n', 'gap",x\n'),
     RECORD_TEXT.replace('gap"\n', 'gap",x\n'),  # a row longer than the header
+    # a column named twice
+    RECORD_TEXT.replace(",warnings\n", ",warnings,family\n")
+    .replace('gap"\n', 'gap",block_diagonal\n'),
 ])
 def test_malformed_record_is_a_format_error(text):
     with pytest.raises(FormatError):
