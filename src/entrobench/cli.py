@@ -129,17 +129,17 @@ def _point_outputs(point: Path) -> list[Path]:
             for path in _outputs(run_dir, RUN_OUTPUTS)]
 
 
-def _make_out(out: Path) -> None:
+def _make_out(out) -> None:
     """Create an output or run directory; a path that cannot be one is a configuration error."""
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        os.makedirs(out, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
 
 
-def _clear(m: ExperimentManifest, stale) -> None:
-    """Remove an earlier command's outputs, refusing if one is a replay source of m."""
-    replayed = {Path(d.partition(":")[2]).resolve() for d in m.sources if d.startswith("replay:")}
+def _clear(sources, stale) -> None:
+    """Remove an earlier command's outputs, refusing if one is a replay: source among sources."""
+    replayed = {Path(d.partition(":")[2]).resolve() for d in sources if d.startswith("replay:")}
     clash = replayed.intersection(path.resolve() for path in stale)
     if clash:
         raise ConfigError(f"replay source {min(clash)} is an earlier output that this removes")
@@ -244,7 +244,7 @@ def _run_points(points):
 
 def cmd_run(m: ExperimentManifest, out: Path) -> None:
     _make_out(out)
-    _clear(m, _point_outputs(out))
+    _clear(m.sources, _point_outputs(out))
     _, errors = _run_points([(m, out)])
     if errors:  # every repetition ran; the exit code reports the first failure
         raise errors[0]
@@ -257,7 +257,7 @@ def cmd_sweep(m: ExperimentManifest, out: Path) -> None:
     family = m.config.pattern.family.value
     _make_out(out)
     # Clear every series and every point of the family, so out holds only this sweep's runs.
-    _clear(m, _outputs(out, ["series-*.csv"]) + [
+    _clear(m.sources, _outputs(out, ["series-*.csv"]) + [
         path for point in out.glob(f"{family}-*-L*") for path in _point_outputs(point)])
     runs, errors = _run_points(
         (dataclasses.replace(m, config=dataclasses.replace(m.config, pattern=spec), sweep=None),
@@ -269,12 +269,14 @@ def cmd_sweep(m: ExperimentManifest, out: Path) -> None:
 
 
 def cmd_replay(inputs, out: Path, plan: AnalysisPlan) -> None:
+    for path in inputs:
+        if not os.path.isdir(path):
+            raise ConfigError(f"replay input {path} is not a directory")
     run_dirs = discover_run_dirs(inputs)
     if not run_dirs:
         raise ConfigError("replay found no run directories (no record.csv)")
     _make_out(out)
-    for path in _outputs(out, REPLAY_OUTPUTS):  # an earlier replay's curves and report
-        path.unlink()
+    _clear((), _outputs(out, REPLAY_OUTPUTS))  # an earlier replay's curves and report
 
     runs = []
     for run_dir in run_dirs:
@@ -332,15 +334,10 @@ def cmd_fixtures(out: Path) -> None:
     _make_out(out)
     with os.scandir(out) as entries:  # a taken run path is refused before any run is written
         for name in sorted(runs.keys() & {entry.name for entry in entries if not entry.is_dir()}):
-            _make_out(out / name)  # raises the error mkdir gives
+            _make_out(out / name)  # raises the error makedirs gives
     for name, (record, timeline) in runs.items():
         run_dir = os.path.join(out, name)
-        try:
-            os.mkdir(run_dir)
-        except FileExistsError:
-            pass  # a directory: the scan above refused every other taken path
-        except OSError as exc:
-            raise ConfigError(f"cannot create output directory {run_dir}: {exc}") from exc
+        _make_out(run_dir)
         _write_run_dir(run_dir, record, {record.timeline_ids[0]: timeline})
     _say(f"wrote {len(runs)} fixture runs to {out}")
 

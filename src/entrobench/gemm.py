@@ -22,7 +22,7 @@ import numpy as np
 from . import patterns
 from .errors import ConfigError, FormatError, SourceError
 from .patterns import MatrixPair, generate
-from .spec import FIXED_C_INIT, Family, GemmConfig, PatternSpec, RunRecord, flop_count
+from .spec import FIXED_C_INIT, Family, GemmConfig, PatternSpec, RunRecord, flop_count, read_text
 
 
 GEMM_BLOCK = 1 << 15  # accumulator elements per block of output rows
@@ -266,13 +266,13 @@ def make_subprocess_backend(command: list[str], workdir) -> Backend:
         if proc.returncode != 0:
             raise SourceError(f"backend command {command} exited {proc.returncode}: {proc.stderr}")
         try:
-            lines = (workdir / "result.manifest").read_text(encoding="utf-8").splitlines()
+            lines = read_text(workdir / "result.manifest").splitlines()
             pairs = (line.split("=", 1) for line in lines if "=" in line)
             result = {key.strip(): value.strip() for key, value in pairs}
             if "wall_seconds" not in result:
                 raise SourceError("backend result.manifest is missing wall_seconds")
             patterns.load_matrix(workdir / result.get("c_out", "c_out.bin"), c)
-        except (OSError, UnicodeDecodeError, FormatError) as exc:
+        except (OSError, FormatError) as exc:
             raise SourceError(f"backend command {command} left no readable result: {exc}") from exc
 
     return Backend(run=run)

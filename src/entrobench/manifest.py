@@ -22,9 +22,9 @@ from operator import attrgetter
 
 from . import fixtures
 from .analysis import DEFAULT_TRIM_FRACTION
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .records import decode_list, encode
-from .spec import Family, GemmConfig, PatternSpec, Schedule, ValueMode, write_file
+from .spec import Family, GemmConfig, PatternSpec, Schedule, ValueMode, read_text, write_file
 from .telemetry import DEFAULT_INTERVAL_MS
 
 SCHEMA_VERSION = 1
@@ -177,8 +177,11 @@ def manifest_from_text(text: str) -> ExperimentManifest:
 
 
 def load_manifest(path) -> ExperimentManifest:
-    with open(path, encoding="utf-8") as fh:
-        return manifest_from_text(fh.read())
+    """The manifest in the file at path; a file that cannot be read as UTF-8 is a ConfigError."""
+    try:
+        return manifest_from_text(read_text(path))
+    except (OSError, FormatError) as exc:
+        raise ConfigError(f"cannot read manifest: {exc}") from exc
 
 
 def save_manifest(m: ExperimentManifest, path) -> None:

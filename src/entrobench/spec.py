@@ -189,9 +189,10 @@ def write_file(path, data) -> None:
 def read_text(path) -> str:
     """The UTF-8 text of the file at path, its line ends kept as written.
 
-    The file is read as bytes and decoded whole; bytes that are not UTF-8
-    are a FormatError that names the file.  Errors opening or reading the
-    file propagate as OSError, for the caller to say what the file was.
+    Every text file the toolkit reads goes through here.  The file is read
+    as bytes and decoded whole; bytes that are not UTF-8 are a FormatError
+    that names the file.  Errors opening or reading the file propagate as
+    OSError, for the caller to say what the file was.
     """
     with open(path, "rb", buffering=0) as fh:
         data = fh.read()

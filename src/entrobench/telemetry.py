@@ -77,8 +77,7 @@ class FilePowerSource:
         self.path = path
 
     def read(self) -> float:
-        with open(self.path) as fh:
-            return parse_pm_counters(fh.read()).watts
+        return parse_pm_counters(read_text(self.path)).watts
 
 
 class EnergyCounterSource:
@@ -96,8 +95,7 @@ class EnergyCounterSource:
         self._last: tuple[float, float] | None = None  # (joules, perf seconds)
 
     def read(self) -> float | None:
-        with open(self.path) as fh:
-            joules = float(fh.read().split()[0]) * 1e-6
+        joules = float(read_text(self.path).split()[0]) * 1e-6
         now = time.perf_counter()
         last, self._last = self._last, (joules, now)
         if last is None or joules < last[0] or now <= last[1]:

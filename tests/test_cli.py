@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import hashlib
@@ -260,6 +261,25 @@ def test_malformed_manifest_value_exits_config(tmp_path, capsys, key, value, com
     err = capsys.readouterr().err
     assert "configuration error" in err and key in err
     assert not (tmp_path / "out").exists()  # rejected before any run
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "score", "replay"])
+@pytest.mark.parametrize("content,message", [
+    (None, "No such file or directory"),
+    (b"[experiment]\nnode = l\xfccal\n", "is not UTF-8 text"),  # Latin-1
+], ids=["missing", "latin1"])
+def test_a_manifest_that_cannot_be_read_exits_config(tmp_path, capsys, command, content,
+                                                     message):
+    manifest = tmp_path / "nope.ini"
+    if content is not None:
+        manifest.write_bytes(content)
+    inputs = [str(tmp_path)] if command == "replay" else []
+    out = tmp_path / "out"
+    assert main(["--manifest", str(manifest), "--out", str(out), command, *inputs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot read manifest: ")
+    assert str(manifest) in err and message in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section,key", [("gemm", "rep"), ("model", "lane"), ("bogus", "x"),
@@ -761,6 +781,22 @@ def test_replay_finds_run_directories_in_path_order_without_following_links(tmp_
     assert len(read_csv(rp / "summary.csv")) == 4
 
 
+@pytest.mark.parametrize("typo", ["typo-dir", "fx/rec-baseline_fixed/record.csv"])
+def test_replay_refuses_an_input_that_is_not_a_directory_before_removing_anything(
+        tmp_path, capsys, monkeypatch, typo):
+    fx, rp = tmp_path / "fx", tmp_path / "rp"
+    assert main(["--out", str(fx), "fixtures"]) == 0
+    assert main(["--out", str(rp), "replay", str(fx)]) == 0
+    before = {path.name: path.read_bytes() for path in rp.iterdir()}
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    assert main(["--out", str(rp), "replay", "fx", typo]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"configuration error: replay input {typo} is not a directory\n"
+    assert captured.out == ""
+    assert {path.name: path.read_bytes() for path in rp.iterdir()} == before
+
+
 def test_replay_with_no_runs_exits_config(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -998,3 +1034,23 @@ def test_removed_options_exit_with_usage_error(tmp_path, capsys, option):
     assert exc.value.code == 2
     assert "entrobench: error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _calls_outside(tree, names, function):
+    """Lines of calls to any of names made outside the function named function."""
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == function
+              for node in ast.walk(fn)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in inside:
+            func = node.func
+            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) \
+                    in names:
+                yield node.lineno
+
+
+def test_output_directories_are_made_only_by_make_out_and_removed_only_by_clear():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    assert list(_calls_outside(tree, {"mkdir", "makedirs"}, "_make_out")) == []
+    assert list(_calls_outside(
+        tree, {"unlink", "remove", "rmdir", "removedirs", "rmtree"}, "_clear")) == []

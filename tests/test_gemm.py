@@ -523,3 +523,8 @@ def test_subprocess_backend_refuses_a_read_only_c_before_running(tmp_path):
     assert not work.exists()  # no matrix written and the command never ran
     backend.run(a, a, np.ones((4, 4)), 1.0, 1.0)
     assert (work / "ran").exists()  # the marker shows when the command runs
+
+
+def test_backend_ids_list_the_reference_backend():
+    ids = gemm.backend_ids()
+    assert "reference" in ids and list(ids) == sorted(ids)

@@ -132,6 +132,13 @@ def test_file_round_trip(tmp_path):
     assert load_manifest(path) == m
 
 
+def test_a_crlf_manifest_loads_equal_to_its_lf_form(tmp_path):
+    m = sample_manifest()
+    path = tmp_path / "crlf.ini"
+    path.write_bytes(manifest_to_text(m).replace("\n", "\r\n").encode("utf-8"))
+    assert load_manifest(path) == m
+
+
 def test_minimal_text_uses_defaults():
     m = manifest_from_text(
         "[pattern]\nfamily = baseline_random\nn = 16\n"

@@ -255,3 +255,49 @@ def test_every_file_is_written_through_write_file():
     found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
              for line in _writer_calls(ast.parse(path.read_text(encoding="utf-8")))]
     assert found == []
+
+
+# The one reader of each kind of file: text in spec, raw matrices (mode "rb") in patterns.
+READERS = {"spec.py": "read_text", "patterns.py": "load_matrix"}
+
+
+def _reader_calls(tree, reader, modules):
+    """Lines of calls that open or read a file other than inside the function reader.
+
+    A call X.read_text(...) on one of the package's modules is that module's
+    read_text, not pathlib's.
+    """
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == reader
+              for node in ast.walk(fn)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in inside:
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        owner = getattr(func.value, "id", None) if isinstance(func, ast.Attribute) else None
+        if name in ("read_text", "read_bytes"):
+            if isinstance(func, ast.Attribute) and owner not in modules:
+                yield node.lineno
+        elif name in ("fromfile", "load", "loadtxt", "genfromtxt", "memmap"):
+            if owner in ("np", "numpy"):
+                yield node.lineno
+        elif name == "open" and owner == "os":
+            flags = {getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(node)}
+            if "O_WRONLY" not in flags:  # O_RDONLY is 0, so a flag set without O_WRONLY reads
+                yield node.lineno
+        elif name == "open":
+            at = 0 if isinstance(func, ast.Attribute) else 1  # path.open(mode), open(path, mode)
+            modes = [k.value for k in node.keywords if k.arg == "mode"] + node.args[at:at + 1]
+            if not modes or not isinstance(modes[0], ast.Constant) or "r" in modes[0].value \
+                    or "+" in modes[0].value:
+                yield node.lineno
+
+
+def test_every_file_is_read_through_read_text_or_load_matrix():
+    package = Path(entrobench.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+             for line in _reader_calls(ast.parse(path.read_text(encoding="utf-8")),
+                                       READERS.get(path.name), modules)]
+    assert found == []

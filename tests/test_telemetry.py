@@ -12,6 +12,7 @@ from entrobench.errors import FormatError, SourceError
 from entrobench.telemetry import (
     TIMELINE_KEYS,
     EnergyCounterSource,
+    FilePowerSource,
     PowerSample,
     ReplaySampler,
     Sampler,
@@ -261,6 +262,21 @@ def test_an_energy_counter_file_holding_inf_fails_after_consecutive_failures(tmp
     path.write_text("inf\n")
     with pytest.raises(SourceError, match="failed 11 consecutive reads: watts must be .* got nan"):
         sample_loop(EnergyCounterSource(path), 1.0, threading.Event())
+
+
+def test_a_pm_counters_file_that_is_not_utf8_is_a_failed_poll(tmp_path):
+    path = tmp_path / "power"
+    path.write_bytes(b"200 W 1\xfc\n")  # Latin-1
+    with pytest.raises(FormatError, match="power is not UTF-8 text"):
+        FilePowerSource(path).read()
+    with pytest.raises(SourceError, match="failed 11 consecutive reads: .* is not UTF-8 text"):
+        sample_loop(FilePowerSource(path), 1.0, threading.Event())
+
+
+def test_a_blank_line_among_a_timelines_rows_is_skipped():
+    tl = make_timeline([(0.0, 1.0), (50.0, 2.0), (100.0, 3.0)])
+    lines = timeline_to_text(tl).splitlines(keepends=True)
+    assert timeline_from_text("".join([*lines[:3], "\n", *lines[3:]])) == tl
 
 
 @settings(max_examples=30, deadline=None)
