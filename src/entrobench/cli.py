@@ -138,7 +138,10 @@ def _make_out(out) -> None:
 
 
 def _clear(sources, stale) -> None:
-    """Remove an earlier command's outputs, refusing if one is a replay: source among sources."""
+    """Remove an earlier command's outputs; none if one is a directory or a replay: source."""
+    held = [path for path in stale if path.is_dir()]
+    if held:
+        raise ConfigError(f"output path {min(held)} is a directory")
     replayed = {Path(d.partition(":")[2]).resolve() for d in sources if d.startswith("replay:")}
     clash = replayed.intersection(path.resolve() for path in stale)
     if clash:
@@ -362,15 +365,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        m = load_manifest(args.manifest) if args.manifest else None  # whatever the command
         if args.command == "fixtures":
             cmd_fixtures(Path(args.out or "fixtures-out"))
         elif args.command == "replay":
-            plan = load_manifest(args.manifest).analysis if args.manifest else AnalysisPlan()
-            cmd_replay(args.inputs, Path(args.out or "replay-out"), plan)
-        elif not args.manifest:
+            cmd_replay(args.inputs, Path(args.out or "replay-out"),
+                       m.analysis if m else AnalysisPlan())
+        elif m is None:
             raise ConfigError(f"{args.command} requires --manifest")
         else:
-            m = load_manifest(args.manifest)
             if args.out:
                 m = dataclasses.replace(m, out_dir=args.out)
             command = {"run": cmd_run, "sweep": cmd_sweep, "score": cmd_score}[args.command]

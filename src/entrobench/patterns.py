@@ -6,7 +6,10 @@ a power-of-two dimension N, a level and a value mode.
 Block families keep the random fraction at exactly 50% for level >= 1,
 arranged as row/column stripes or a checkerboard.  Sparse families grow
 the random region from N cells (one row/column/diagonal) to the full
-matrix.  All remaining cells are exactly 0.0.
+matrix.  All remaining cells are exactly 0.0.  B's mask is A's transpose
+for the row/column families, its complement for the checkerboard (both
+full at level 0), and its left-right mirror (anti-diagonals) for the
+diagonals.
 """
 
 from __future__ import annotations
@@ -37,46 +40,33 @@ class MatrixPair:
 def masks(spec: PatternSpec) -> tuple[np.ndarray, np.ndarray]:
     """Boolean random-designation masks (True = random cell) for A and B.
 
-    Baseline families have trivially all-true masks and are rejected here;
-    generate() handles them directly.
+    Each family defines A's mask; B's is a fixed symmetry of it.  Both are
+    C-contiguous, writable copies.  Baseline families have all-true masks
+    and are rejected here; generate() handles them directly.
     """
     if spec.is_baseline:
         raise ConfigError(f"masks() does not apply to baseline family {spec.family.value}")
 
-    n, lvl = spec.n_dim, spec.level
+    n, lvl, family = spec.n_dim, spec.level, spec.family
     i = np.arange(n)[:, None]
     j = np.arange(n)[None, :]
-
-    if lvl == 0 and spec.family in (Family.BLOCK_ROWCOL, Family.BLOCK_DIAGONAL):
-        full = np.ones((n, n), dtype=bool)
-        return full, full.copy()
-
-    if spec.family is Family.BLOCK_ROWCOL:
-        s = n // (1 << lvl)  # stripe height/width
-        mask_a = np.broadcast_to((i // s) % 2 == 0, (n, n)).copy()
-        mask_b = np.broadcast_to((j // s) % 2 == 0, (n, n)).copy()
-        return mask_a, mask_b
-
-    if spec.family is Family.BLOCK_DIAGONAL:
-        # The stripe width s is a power of two, so i // s + j // s is even
-        # exactly when i and j agree at bit s.
-        s = n // (1 << lvl)
+    s = n >> lvl  # block stripe width, or sparse diagonal stride; a power of two dividing n
+    if family is Family.BLOCK_ROWCOL:  # row stripes, every row at level 0; B: transpose
+        mask_a = np.broadcast_to((i // s) % 2 == 0, (n, n))
+        mask_b = mask_a.T
+    elif family is Family.SPARSE_ROWCOL:  # the first 2^level rows; B: transpose
+        mask_a = np.broadcast_to(i < (1 << lvl), (n, n))
+        mask_b = mask_a.T
+    elif family is Family.BLOCK_DIAGONAL:  # s x s checkerboard; B: complement, full at level 0
+        # i // s + j // s is even exactly when i and j agree at bit s.
         mask_a = ((i ^ j) & s) == 0
-        return mask_a, ~mask_a
-
-    if spec.family is Family.SPARSE_ROWCOL:
-        rows = 1 << lvl
-        mask_a = np.broadcast_to(i < rows, (n, n)).copy()
-        mask_b = np.broadcast_to(j < rows, (n, n)).copy()
-        return mask_a, mask_b
-
-    # sparse_diagonal: 2^level full diagonals, wrapping modulo N.  The
-    # stride d is a power of two that divides N, so x & (d - 1) is x mod d,
-    # for negative x too.
-    d = n >> lvl
-    mask_a = ((j - i) & (d - 1)) == 0
-    mask_b = ((i + j) & (d - 1)) == d - 1
-    return mask_a, mask_b
+        mask_b = ~mask_a if lvl else mask_a
+    else:  # sparse_diagonal: 2^level diagonals j - i = 0 mod s; B: left-right mirror
+        # x & (s - 1) is x mod s, for negative x too.  Mirrored, the
+        # diagonals are i + j = s - 1 mod s, since s divides n.
+        mask_a = ((j - i) & (s - 1)) == 0
+        mask_b = mask_a[:, ::-1]
+    return mask_a.copy(), mask_b.copy()
 
 
 def _rng(seed: int) -> np.random.Generator:

@@ -173,10 +173,13 @@ def write_file(path, data) -> None:
     Every file the toolkit writes goes through here.  An existing file is
     overwritten and then cut to the new length, never truncated first:
     truncating frees the file's blocks, which on a file system mounted with
-    `discard` is a synchronous device command per file.
+    `discard` is a synchronous device command per file.  A directory at path is a ConfigError.
     """
     view = memoryview(data.encode("utf-8") if isinstance(data, str) else data).cast("B")
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    except IsADirectoryError as exc:
+        raise ConfigError(f"output path {path} is a directory") from exc
     try:
         written = 0
         while written < view.nbytes:  # os.write may write less than asked

@@ -77,7 +77,7 @@ class FilePowerSource:
         self.path = path
 
     def read(self) -> float:
-        return parse_pm_counters(read_text(self.path)).watts
+        return parse_pm_counters(read_text(self.path))
 
 
 class EnergyCounterSource:
@@ -213,11 +213,12 @@ class ReplaySampler:
         return samples[0].t_ms, samples[-1].t_ms
 
 
-def parse_pm_counters(text: str) -> PowerSample:
-    """Parse one pm_counters line: `<value> W <timestamp_us>`.
+def parse_pm_counters(text: str) -> float:
+    """The watts of one pm_counters line: `<value> W <timestamp_us>`.
 
-    Energy files (unit J) must go through the counter finite-difference
-    path instead; a non-W unit is rejected here.
+    The timestamp must be an integer but is not kept: sample_loop stamps
+    each poll and refuses a negative or non-finite reading.  Energy files
+    (unit J) go through the counter path; a non-W unit is rejected here.
     """
     tokens = text.split()
     if len(tokens) != 3:
@@ -226,11 +227,10 @@ def parse_pm_counters(text: str) -> PowerSample:
     if unit != "W":
         raise FormatError(f"expected unit W, got {unit!r}")
     try:
-        watts = float(value)
-        t_us = int(stamp)
+        int(stamp)
+        return float(value)
     except ValueError:
         raise FormatError(f"non-numeric pm_counters fields in {text!r}") from None
-    return PowerSample(t_ms=t_us / 1000.0, watts=watts)
 
 
 def timeline_to_text(timeline: Timeline) -> str:

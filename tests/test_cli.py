@@ -263,7 +263,7 @@ def test_malformed_manifest_value_exits_config(tmp_path, capsys, key, value, com
     assert not (tmp_path / "out").exists()  # rejected before any run
 
 
-@pytest.mark.parametrize("command", ["run", "sweep", "score", "replay"])
+@pytest.mark.parametrize("command", ["run", "sweep", "score", "replay", "fixtures"])
 @pytest.mark.parametrize("content,message", [
     (None, "No such file or directory"),
     (b"[experiment]\nnode = l\xfccal\n", "is not UTF-8 text"),  # Latin-1
@@ -1026,6 +1026,35 @@ def test_an_output_path_that_cannot_be_a_directory_exits_config_before_any_work(
     assert out.read_text() == "a file\n"
 
 
+@pytest.mark.parametrize("command,held,earlier", [
+    ("replay", "summary.csv", True),
+    ("run", "timeline-x.csv", True),
+    ("score", "score.csv", False),
+    ("fixtures", "rec-baseline_fixed/record.csv", False),
+])
+def test_a_directory_at_an_output_path_exits_config_naming_it(tmp_path, capsys, command, held,
+                                                             earlier):
+    fx, out = tmp_path / "fx", tmp_path / "out"
+    assert main(["--out", str(fx), "fixtures"]) == 0
+    timeline = fx / "rec-baseline_random" / "timeline-fixture-0.csv"
+    manifest = write_manifest(tmp_path / "m.ini", sources=(f"replay:{timeline}",))
+    options = ["--manifest", str(manifest)] if command in ("run", "score") else []
+    inputs = [str(fx)] if command == "replay" else []
+    argv = [*options, "--out", str(out), command, *inputs]
+    if earlier:  # an earlier command's outputs, which the refused one must not remove
+        assert main(argv) == 0
+        (out / held).unlink(missing_ok=True)
+    (out / held).mkdir(parents=True)
+    before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: output path {out / held} is a directory\n")
+    assert (out / held).is_dir()
+    if command != "fixtures":  # fixtures has written the runs before rec-baseline_fixed
+        assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
+
+
 @pytest.mark.parametrize("option", [["--seed", "1"], ["--interval-ms", "5"]])
 def test_removed_options_exit_with_usage_error(tmp_path, capsys, option):
     manifest = write_manifest(tmp_path / "m.ini")
@@ -1047,6 +1076,14 @@ def _calls_outside(tree, names, function):
             if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) \
                     in names:
                 yield node.lineno
+
+
+def test_main_loads_the_manifest_once_for_every_command():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "load_manifest"]
+    assert len(calls) == 1
+    assert list(_calls_outside(tree, {"load_manifest"}, "main")) == []
 
 
 def test_output_directories_are_made_only_by_make_out_and_removed_only_by_clear():

@@ -63,22 +63,28 @@ def test_block_diagonal_masks_complementary():
             np.testing.assert_array_equal(mask_b, ~mask_a)
 
 
-@pytest.mark.parametrize("family", ["sparse_diagonal", "block_diagonal"])
-def test_diagonal_masks_equal_the_modulo_formulas(family):
-    # masks() builds these with a bit-and, since the stride and the stripe
-    # width are powers of two; these are the modulo formulas they replace.
+@pytest.mark.parametrize("family", ["block_rowcol", "block_diagonal", "sparse_rowcol",
+                                    "sparse_diagonal"])
+def test_masks_equal_the_closed_formulas(family):
+    # Each mask is written out without the symmetry that masks() derives
+    # B's from (transpose, complement or mirror) and without its bit-and.
     for n in (2 ** m for m in range(1, 11)):
         i, j = np.arange(n)[:, None], np.arange(n)[None, :]
-        for level in range(1 if family == "block_diagonal" else 0, n.bit_length()):
+        for level in range(n.bit_length()):
             mask_a, mask_b = masks(PatternSpec(family=family, n_dim=n, level=level))
-            if family == "sparse_diagonal":
-                d = n >> level
-                expected = ((j - i) % n % d == 0, (i + j) % n % d == d - 1)
-            else:
-                s = n // (1 << level)
+            s = n // (1 << level)  # stripe width, or diagonal stride
+            if family == "block_rowcol":
+                expected = ((i // s) % 2 == 0, (j // s) % 2 == 0)
+            elif family == "sparse_rowcol":
+                expected = (i < 2 ** level, j < 2 ** level)
+            elif family == "block_diagonal" and level == 0:
+                expected = (True, True)
+            elif family == "block_diagonal":
                 expected = ((i // s + j // s) % 2 == 0, (i // s + j // s) % 2 == 1)
-            np.testing.assert_array_equal(mask_a, expected[0])
-            np.testing.assert_array_equal(mask_b, expected[1])
+            else:
+                expected = ((j - i) % n % s == 0, (i + j) % n % s == s - 1)
+            np.testing.assert_array_equal(mask_a, np.broadcast_to(expected[0], (n, n)))
+            np.testing.assert_array_equal(mask_b, np.broadcast_to(expected[1], (n, n)))
 
 
 def test_block_rowcol_mask_b_is_transpose_of_a():
