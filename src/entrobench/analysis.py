@@ -1,8 +1,8 @@
 """Reductions from timelines and run records to power/efficiency metrics.
 
-Steady-state means are computed over the measured phase with a symmetric
-5% head/tail trim (configurable): startup/shutdown ramps and inter-GEMM
-dips at the window edges would otherwise bias the mean.  Derived metrics
+Steady-state means are computed over the measured phase with a fixed
+symmetric 5% head/tail trim: startup/shutdown ramps and inter-GEMM dips at
+the window edges would otherwise bias the mean.  Derived metrics
 are percent increase over a baseline, TDP fraction, and the pJ/FLOP upper
 bound (power delta divided by FLOP rate).
 """
@@ -15,7 +15,7 @@ from .errors import ConfigError, InsufficientDataError
 from .spec import RunRecord
 from .telemetry import Timeline
 
-DEFAULT_TRIM_FRACTION = 0.05
+TRIM_FRACTION = 0.05
 MIN_WINDOW_SAMPLES = 10
 NODE_SPREAD_WARN_FRACTION = 0.02
 
@@ -23,10 +23,7 @@ NODE_SPREAD_WARN_FRACTION = 0.02
 @dataclass(frozen=True)
 class PowerStats:
     mean_w: float
-    min_w: float
-    max_w: float
     sample_count: int
-    window: tuple[float, float]  # (t_start_ms, t_end_ms)
 
 
 @dataclass(frozen=True)
@@ -37,33 +34,21 @@ class AggregateResult:
     spread_warning: bool
 
 
-def steady_state_window(
-    timeline: Timeline,
-    record: RunRecord,
-    trim_fraction: float = DEFAULT_TRIM_FRACTION,
-) -> PowerStats:
-    """Stats over the measured phase, trimmed symmetrically at both ends."""
-    if not 0 <= trim_fraction < 0.5:
-        raise ConfigError(f"trim_fraction must be in [0, 0.5), got {trim_fraction}")
+def steady_state_window(timeline: Timeline, record: RunRecord) -> PowerStats:
+    """Stats over the measured phase, trimmed by TRIM_FRACTION of its span at both ends."""
     start, end = record.measured_start_ms, record.measured_end_ms
     if end <= start:
         raise InsufficientDataError(f"degenerate measured window [{start}, {end}]")
     span = end - start
-    lo = start + trim_fraction * span
-    hi = end - trim_fraction * span
+    lo = start + TRIM_FRACTION * span
+    hi = end - TRIM_FRACTION * span
     watts = [s.watts for s in timeline.samples if lo <= s.t_ms <= hi]
     if len(watts) < MIN_WINDOW_SAMPLES:
         raise InsufficientDataError(
             f"only {len(watts)} samples in window [{lo:.1f}, {hi:.1f}] ms; "
             f"need {MIN_WINDOW_SAMPLES}"
         )
-    return PowerStats(
-        mean_w=sum(watts) / len(watts),
-        min_w=min(watts),
-        max_w=max(watts),
-        sample_count=len(watts),
-        window=(lo, hi),
-    )
+    return PowerStats(mean_w=sum(watts) / len(watts), sample_count=len(watts))
 
 
 def percent_increase(p_hi_w: float, p_lo_w: float) -> float:

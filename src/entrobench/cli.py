@@ -71,8 +71,7 @@ def _summary_row(record, timelines, plan: AnalysisPlan) -> dict:
     row.update(family=pattern.family.value, level=pattern.level,
                value_mode=pattern.value_mode.value, flop_rate=record.flop_rate)
     if record.timeline_ids:
-        stats = analysis.steady_state_window(timelines[record.timeline_ids[0]], record,
-                                             trim_fraction=plan.trim_fraction)
+        stats = analysis.steady_state_window(timelines[record.timeline_ids[0]], record)
         row["mean_w"] = stats.mean_w
         row["tdp_frac"] = analysis.tdp_fraction(stats.mean_w, plan.tdp_w)
         row["pj_per_flop_vs_fixed"] = analysis.pj_per_flop(
@@ -137,11 +136,16 @@ def _make_out(out) -> None:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
 
 
-def _clear(sources, stale) -> None:
-    """Remove an earlier command's outputs; none if one is a directory or a replay: source."""
-    held = [path for path in stale if path.is_dir()]
+def _refuse_directories(paths) -> None:
+    """Refuse output paths that are directories, naming the least of them."""
+    held = [path for path in paths if os.path.isdir(path)]
     if held:
         raise ConfigError(f"output path {min(held)} is a directory")
+
+
+def _clear(sources, stale) -> None:
+    """Remove an earlier command's outputs; none if one is a directory or a replay: source."""
+    _refuse_directories(stale)
     replayed = {Path(d.partition(":")[2]).resolve() for d in sources if d.startswith("replay:")}
     clash = replayed.intersection(path.resolve() for path in stale)
     if clash:
@@ -305,12 +309,6 @@ def cmd_score(m: ExperimentManifest, out: Path) -> None:
     """
     from . import model
     pattern = m.config.pattern
-    if pattern.n_dim > m.max_n_dim:
-        raise ConfigError(
-            f"n_dim={pattern.n_dim} exceeds the simulation budget "
-            f"({m.max_n_dim}): run time grows as N^3 per spec (memory "
-            f"only as N^2); raise [model] max_n_dim to override"
-        )
     specs = m.sweep_specs() if m.sweep is not None and not pattern.is_baseline else [pattern]
 
     model._tile(pattern.n_dim, m.model)  # a tile that cannot fit is refused before out is made
@@ -335,9 +333,13 @@ def cmd_fixtures(out: Path) -> None:
     """Emit the embedded recorded-measurement fixtures for inspection/replay."""
     runs = {run[0]: run[2:] for run in fixtures.iter_fixture_runs()}  # name: (record, timeline)
     _make_out(out)
-    with os.scandir(out) as entries:  # a taken run path is refused before any run is written
-        for name in sorted(runs.keys() & {entry.name for entry in entries if not entry.is_dir()}):
-            _make_out(out / name)  # raises the error makedirs gives
+    # A taken run path, or a directory at a file a run writes, is refused before any is written.
+    with os.scandir(out) as entries:
+        taken = {entry.name: entry.is_dir() for entry in entries if entry.name in runs}
+    for name in sorted(name for name, is_dir in taken.items() if not is_dir):
+        _make_out(out / name)  # raises the error makedirs gives
+    _refuse_directories(os.path.join(out, name, file) for name in taken
+                        for file in ("record.csv", f"timeline-{runs[name][0].timeline_ids[0]}.csv"))
     for name, (record, timeline) in runs.items():
         run_dir = os.path.join(out, name)
         _make_out(run_dir)

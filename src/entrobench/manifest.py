@@ -3,8 +3,8 @@
 A manifest is a single INI-style text file with one section per module
 (pattern, gemm, telemetry, analysis, optional sweep and model) plus an
 [experiment] section carrying schema version and provenance labels.
-MANIFEST_KEYS is the list of keys; a key it does not list is a
-configuration error, and an absent key takes the default of the dataclass
+MANIFEST_KEYS is the list of keys; a key or a section it does not list is
+a configuration error, and an absent key takes the default of the dataclass
 field it sets.  [pattern] and [gemm] load as the GemmConfig a run executes,
 [model] lanes as the Schedule that score runs, and every part checks its
 values when the manifest loads.  The canonical serialization is
@@ -21,7 +21,6 @@ from dataclasses import MISSING, dataclass, field, replace
 from operator import attrgetter
 
 from . import fixtures
-from .analysis import DEFAULT_TRIM_FRACTION
 from .errors import ConfigError, FormatError
 from .records import decode_list, encode
 from .spec import Family, GemmConfig, PatternSpec, Schedule, ValueMode, read_text, write_file
@@ -49,14 +48,11 @@ class AnalysisPlan:
     tdp_w: float = fixtures.TDP_W
     baseline_random_w: float = fixtures.RANDOM_INPUT_W
     baseline_fixed_w: float = fixtures.FIXED_INPUT_W
-    trim_fraction: float = DEFAULT_TRIM_FRACTION
 
     def __post_init__(self):
         for name in ("tdp_w", "baseline_random_w", "baseline_fixed_w"):
             if not 0 < getattr(self, name) < math.inf:  # also rejects nan
                 raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if not 0 <= self.trim_fraction < 0.5:
-            raise ConfigError(f"trim_fraction must be in [0, 0.5), got {self.trim_fraction}")
 
 
 @dataclass(frozen=True)
@@ -70,12 +66,9 @@ class ExperimentManifest:
     out_dir: str = "out"
     sweep: SweepPlan | None = None
     model: Schedule = field(default_factory=Schedule)
-    max_n_dim: int = 1024  # score's guard: ~N^3 port cycles per spec, memory only O(N^2)
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
-        if self.max_n_dim < 2:
-            raise ConfigError(f"max_n_dim must be >= 2, got {self.max_n_dim}")
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(
                 f"unrecognized manifest schema_version {self.schema_version}; "
@@ -124,12 +117,10 @@ MANIFEST_KEYS = (
     ("analysis", "tdp_w", "analysis.tdp_w", float),
     ("analysis", "baseline_random_w", "analysis.baseline_random_w", float),
     ("analysis", "baseline_fixed_w", "analysis.baseline_fixed_w", float),
-    ("analysis", "trim_fraction", "analysis.trim_fraction", float),
     ("sweep", "level_min", "sweep.level_min", int),
     ("sweep", "level_max", "sweep.level_max", lambda t: int(t) if t else None),
     ("sweep", "value_modes", "sweep.value_modes", decode_list(",", lambda s: ValueMode(s).value)),
     ("model", "lanes", "model.lanes", int),
-    ("model", "max_n_dim", "max_n_dim", int),
 )
 
 _PARTS = {"": ExperimentManifest, "config": GemmConfig, "config.pattern": PatternSpec,
@@ -149,15 +140,20 @@ def manifest_to_text(m: ExperimentManifest) -> str:
 
 
 def manifest_from_text(text: str) -> ExperimentManifest:
-    cp = configparser.ConfigParser(interpolation=None)
+    # No header can name a newline, so [DEFAULT] is checked like any other section.
+    cp = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"unparseable manifest: {exc}") from exc
     known = {(section, key) for section, key, _, _ in MANIFEST_KEYS}
-    for section, key in ((s, k) for s in cp.sections() for k in cp.options(s)):
-        if (section, key) not in known:
-            raise ConfigError(f"unknown manifest key [{section}] {key}")
+    sections = {section for section, _ in known}
+    for section in cp.sections():
+        for key in cp.options(section):
+            if (section, key) not in known:
+                raise ConfigError(f"unknown manifest key [{section}] {key}")
+        if section not in sections:  # one with no key, too: [sweeps] is not [sweep]
+            raise ConfigError(f"unknown manifest section [{section}]")
 
     parts = {part: {} for part in _PARTS}
     for section, key, attr, decode in MANIFEST_KEYS:

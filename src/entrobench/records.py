@@ -113,4 +113,9 @@ def write_record(record: RunRecord, path) -> None:
 
 
 def read_record(path) -> RunRecord:
-    return record_from_text(read_text(path))
+    """The record in the file at path; a FormatError names the file."""
+    text = read_text(path)
+    try:
+        return record_from_text(text)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

@@ -129,6 +129,15 @@ class RunRecord:
     measured_end_ms: float = 0.0
     warnings: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        # Values no run measures (its measured time is floored at 1 ns); also rejects nan.
+        for name in ("flop_rate", "measured_seconds"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 0 <= self.warmup_seconds < math.inf:
+            raise ConfigError(
+                f"warmup_seconds must be nonnegative and finite, got {self.warmup_seconds}")
+
 
 @dataclass(frozen=True)
 class Schedule:

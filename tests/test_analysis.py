@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from entrobench import fixtures
 from entrobench.analysis import (
+    TRIM_FRACTION,
     aggregate_runs,
     percent_increase,
     pj_per_flop,
@@ -39,15 +40,15 @@ def test_steady_state_trims_edges():
     stats = steady_state_window(ramp_timeline(values), make_record(1900.0))
     assert stats.sample_count == 18
     assert stats.mean_w == 300.0
-    assert stats.window == (95.0, 1805.0)
 
 
-def test_steady_state_zero_trim_keeps_all():
-    values = [100.0] * 12
-    stats = steady_state_window(ramp_timeline(values), make_record(1100.0),
-                                trim_fraction=0.0)
-    assert stats.sample_count == 12
-    assert (stats.min_w, stats.max_w) == (100.0, 100.0)
+def test_steady_state_trim_is_fixed_at_five_percent():
+    # 12 samples at 100 ms; 5% of [0, 1100] is 55 ms at each end, which drops
+    # exactly the first and the last sample
+    assert TRIM_FRACTION == 0.05
+    values = [9000.0] + [100.0] * 10 + [0.0]
+    stats = steady_state_window(ramp_timeline(values), make_record(1100.0))
+    assert (stats.mean_w, stats.sample_count) == (100.0, 10)
 
 
 def test_steady_state_insufficient_samples():
@@ -56,9 +57,6 @@ def test_steady_state_insufficient_samples():
 
 
 def test_steady_state_rejects_bad_inputs():
-    with pytest.raises(ConfigError):
-        steady_state_window(ramp_timeline([1.0] * 12), make_record(1100.0),
-                            trim_fraction=0.5)
     with pytest.raises(InsufficientDataError):
         steady_state_window(ramp_timeline([1.0] * 12), make_record(0.0))
 

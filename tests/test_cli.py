@@ -235,8 +235,7 @@ def test_a_record_that_cannot_be_read_is_a_format_error_naming_it(tmp_path):
     ("value_modes", "", "sweep"),
     ("value_modes", "independent,independent", "sweep"),  # would run each point twice
     ("value_modes", "independent,independent", "score"),
-    ("trim_fraction", "0.6", "run"),  # [analysis]
-    ("tdp_w", "nan", "run"),
+    ("tdp_w", "nan", "run"),  # [analysis]
     ("tdp_w", "inf", "sweep"),
     ("baseline_fixed_w", "nan", "run"),
     ("baseline_random_w", "-5", "run"),
@@ -249,8 +248,6 @@ def test_a_record_that_cannot_be_read_is_a_format_error_naming_it(tmp_path):
     ("lanes", "0", "run"),  # checked by Schedule at load
     ("lanes", "0", "sweep"),
     ("lanes", "0", "score"),
-    ("max_n_dim", "-5", "run"),
-    ("max_n_dim", "1", "score"),
 ])
 def test_malformed_manifest_value_exits_config(tmp_path, capsys, key, value, command):
     manifest = write_manifest(tmp_path / "m.ini", sweep=SweepPlan())
@@ -283,7 +280,8 @@ def test_a_manifest_that_cannot_be_read_exits_config(tmp_path, capsys, command, 
 
 
 @pytest.mark.parametrize("section,key", [("gemm", "rep"), ("model", "lane"), ("bogus", "x"),
-                                         ("model", "tile_m"), ("model", "w_acc")])
+                                         ("model", "tile_m"), ("model", "w_acc"),
+                                         ("DEFAULT", "lanes")])
 def test_unknown_manifest_key_exits_config(tmp_path, capsys, section, key):
     manifest = write_manifest(tmp_path / "m.ini")
     text = manifest.read_text()
@@ -292,6 +290,38 @@ def test_unknown_manifest_key_exits_config(tmp_path, capsys, section, key):
     manifest.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = 3\n"))
     assert main(["--manifest", str(manifest), "run"]) == 2
     assert f"unknown manifest key [{section}] {key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# a manifest saved while these keys existed: any value, valid then or not, is refused
+@pytest.mark.parametrize("key,value,command", [
+    ("trim_fraction", "0.6", "run"),  # [analysis]
+    ("max_n_dim", "-5", "run"),  # [model]
+    ("max_n_dim", "1", "score"),
+])
+def test_a_manifest_setting_a_removed_key_exits_config(tmp_path, capsys, key, value, command):
+    section = {"trim_fraction": "analysis", "max_n_dim": "model"}[key]
+    manifest = write_manifest(tmp_path / "m.ini", sweep=SweepPlan())
+    text = manifest.read_text()
+    assert f"\n[{section}]\n" in text
+    manifest.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
+    assert main(["--manifest", str(manifest), command]) == 2
+    assert capsys.readouterr() == (
+        "", f"configuration error: unknown manifest key [{section}] {key}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "score"])
+# [sweeps] is a typo for [sweep]; [DEFAULT] is configparser's name for its default section
+@pytest.mark.parametrize("section", ["sweeps", "DEFAULT"])
+def test_an_unknown_manifest_section_exits_config_even_if_empty(tmp_path, capsys, section,
+                                                                 command):
+    manifest = tmp_path / "m.ini"
+    manifest.write_text("[pattern]\nfamily = sparse_rowcol\nn = 16\n[gemm]\nreps = 1\n"
+                        f"warmup_seconds = 0\n[{section}]\n")
+    assert main(["--manifest", str(manifest), "--out", str(tmp_path / "out"), command]) == 2
+    assert capsys.readouterr() == (
+        "", f"configuration error: unknown manifest section [{section}]\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -828,7 +858,12 @@ def test_run_of_a_one_sample_replay_exits_insufficient_data(tmp_path, capsys):
 
 @pytest.mark.parametrize("column,value", [("n", "3"), ("reps", "0"),
                                           ("warmup_seconds_config", "inf"),
-                                          ("warmup_seconds_config", "nan")])
+                                          ("warmup_seconds_config", "nan"),
+                                          ("flop_rate", "nan"), ("flop_rate", "inf"),
+                                          ("flop_rate", "0.0"), ("flop_rate", "-1.0"),
+                                          ("measured_seconds", "0.0"),
+                                          ("warmup_seconds", "-1.0"),
+                                          ("warmup_seconds", "inf")])
 def test_replay_of_a_record_value_the_config_refuses_exits_source(tmp_path, capsys,
                                                                    column, value):
     tl = tmp_path / "recorded.csv"
@@ -841,7 +876,8 @@ def test_replay_of_a_record_value_the_config_refuses_exits_source(tmp_path, caps
     values[header.split(",").index(column)] = value
     path.write_text(f"{schema}\n{header}\n{','.join(values)}\n")
     assert main(["--out", str(tmp_path / "rp"), "replay", str(tmp_path / "out")]) == 3
-    assert "malformed record file" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        f"source/backend error: {path}: malformed record file: ")
 
 
 def test_run_samples_live_pm_and_rapl_files(tmp_path):
@@ -961,12 +997,17 @@ def test_score_survives_a_reader_that_closes_early(tmp_path, capsys, monkeypatch
     assert capsys.readouterr().err == ""
 
 
-def test_score_budget_guard(tmp_path):
+def test_score_has_no_size_limit(tmp_path):
+    # like run: the toggle model's memory grows only as N^2
     manifest = write_manifest(
         tmp_path / "m.ini",
-        pattern=PatternSpec(family="baseline_random", n_dim=4096, seed=0),
+        pattern=PatternSpec(family="sparse_rowcol", n_dim=2048, seed=0),
+        model=Schedule(lanes=4),
     )
-    assert main(["--manifest", str(manifest), "score"]) == 2
+    assert main(["--manifest", str(manifest), "score"]) == 0
+    rows = read_csv(tmp_path / "out" / "score.csv")
+    assert [(row["family"], row["level"], row["flops"]) for row in rows] == [
+        ("sparse_rowcol", "0", str(2048 ** 3))]
 
 
 @pytest.mark.parametrize("lanes,message", [
@@ -1051,8 +1092,8 @@ def test_a_directory_at_an_output_path_exits_config_naming_it(tmp_path, capsys, 
     assert capsys.readouterr().err == (
         f"configuration error: output path {out / held} is a directory\n")
     assert (out / held).is_dir()
-    if command != "fixtures":  # fixtures has written the runs before rec-baseline_fixed
-        assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
+    # nothing written, nor removed: for fixtures, not one run's record.csv
+    assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
 
 
 @pytest.mark.parametrize("option", [["--seed", "1"], ["--interval-ms", "5"]])

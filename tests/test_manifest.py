@@ -76,7 +76,6 @@ interval_ms = 100.0
 tdp_w = 400.0
 baseline_random_w = 398.2
 baseline_fixed_w = 238.5
-trim_fraction = 0.05
 
 [sweep]
 level_min = 1
@@ -85,7 +84,6 @@ value_modes = independent,fixed_common
 
 [model]
 lanes = 4
-max_n_dim = 1024
 
 """
 
@@ -147,10 +145,9 @@ def test_minimal_text_uses_defaults():
     assert m.config.warmup_seconds == 60.0
     assert m.interval_ms == 100.0
     assert m.analysis == AnalysisPlan(tdp_w=400.0, baseline_random_w=398.2,
-                                      baseline_fixed_w=238.5, trim_fraction=0.05)
+                                      baseline_fixed_w=238.5)
     assert m.config.backend_id == "reference"
     assert m.model == Schedule()
-    assert m.max_n_dim == 1024
     assert m.sweep is None
 
 
@@ -201,9 +198,6 @@ def test_validation_errors():
         sample_manifest(analysis=AnalysisPlan(tdp_w=0.0))
     with pytest.raises(ConfigError):
         sample_manifest(repetitions_per_node=0)
-    for trim in (-0.01, 0.5, 0.6):
-        with pytest.raises(ConfigError, match="trim_fraction"):
-            AnalysisPlan(trim_fraction=trim)
     with pytest.raises(ConfigError, match="value_modes"):
         SweepPlan(value_modes=())
 
