@@ -3,7 +3,11 @@
 One command per process.  Exit codes are machine-checkable for batch
 schedulers: 0 success, else the exit_code that the error's class declares
 in errors.py (2 configuration error, 3 source/backend error, 4 insufficient
-data).
+data).  Importing this module loads only errors, spec and manifest; each
+command imports the modules it runs where it first calls them, so score
+loads no telemetry, analysis, fixtures or records.  Those calls go through
+the module (records.read_record, not a name bound at import), so replacing
+a module attribute wraps every call.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import analysis, fixtures, records, telemetry
 from .errors import ConfigError, EntrobenchError, FormatError, InsufficientDataError, SourceError
 from .manifest import (
     AnalysisPlan,
@@ -24,7 +27,7 @@ from .manifest import (
     manifest_digest,
     save_manifest,
 )
-from .spec import write_file
+from .spec import encode, write_file
 
 SUMMARY_HEADER = "family,level,value_mode,mean_w,tdp_frac,flop_rate,pj_per_flop_vs_fixed"
 SERIES_HEADER = "family,value_mode,level,mean_w,tdp_w,baseline_random_w,baseline_fixed_w"
@@ -36,9 +39,9 @@ RUN_OUTPUTS = ("failed", "manifest", "manifest.sha256", "record.csv", "summary.c
 REPLAY_OUTPUTS = ("report.txt", "series-*.csv", "summary.csv")
 
 
-def build_sampler(descriptor: str,
-                  interval_ms: float) -> telemetry.Sampler | telemetry.ReplaySampler:
-    """Source descriptors: replay:<timeline.csv>, pm:<path>, rapl:<path>."""
+def build_sampler(descriptor: str, interval_ms: float):
+    """A telemetry sampler for replay:<timeline.csv>, pm:<path> or rapl:<path>."""
+    from . import telemetry
     kind, _, arg = descriptor.partition(":")
     if kind == "replay":
         try:
@@ -66,6 +69,7 @@ def run_experiment(config, **kwargs):
 
 def _summary_row(record, timelines, plan: AnalysisPlan) -> dict:
     """A run's summary.csv columns, in order; without a timeline the power columns are None."""
+    from . import analysis
     pattern = record.config.pattern
     row = dict.fromkeys(SUMMARY_HEADER.split(","))
     row.update(family=pattern.family.value, level=pattern.level,
@@ -81,7 +85,7 @@ def _summary_row(record, timelines, plan: AnalysisPlan) -> dict:
 
 def _write_csv(path, header: str, rows) -> None:
     """Header line, then each row's values encoded and joined by commas; no quoting."""
-    lines = [header] + [",".join(records.encode(value, ";") for value in row) for row in rows]
+    lines = [header] + [",".join(encode(value, ";") for value in row) for row in rows]
     write_file(path, "\n".join(lines) + "\n")
 
 
@@ -92,6 +96,7 @@ def _write_series(runs, out: Path, plan: AnalysisPlan) -> dict[str, float]:
     baseline, are the mean of its node means over all its runs
     (analysis.aggregate_runs).  Returns the baselines' watts by family.
     """
+    from . import analysis
     curves, baselines = {}, {}  # each point: node_id -> [mean_w, ...]
     for record, row in runs:
         if row["mean_w"] is None:
@@ -113,6 +118,7 @@ def _write_series(runs, out: Path, plan: AnalysisPlan) -> dict[str, float]:
 
 def _write_run_dir(run_dir, record, timelines) -> None:
     """record.csv and one timeline-<id>.csv per timeline; _load_run_dir reads them back."""
+    from . import records, telemetry
     records.write_record(record, os.path.join(run_dir, "record.csv"))
     for tid, timeline in timelines.items():
         telemetry.write_timeline(timeline, os.path.join(run_dir, f"timeline-{tid}.csv"))
@@ -185,6 +191,7 @@ def execute_run(m: ExperimentManifest, run_dir: Path, run_index: int = 0):
 
 def _load_run_dir(run_dir):
     """A run's record and the timelines it names; other files are ignored."""
+    from . import records, telemetry
     try:
         record = records.read_record(os.path.join(run_dir, "record.csv"))
     except OSError as exc:
@@ -245,7 +252,7 @@ def _run_points(points):
                 continue
             runs.append((record, row))
             _say(f"run {run_dir}: {row['family']} L{row['level']} "
-                 f"mean_w={records.encode(row['mean_w'], '') or 'n/a'}")
+                 f"mean_w={encode(row['mean_w'], '') or 'n/a'}")
     return runs, errors
 
 
@@ -276,6 +283,7 @@ def cmd_sweep(m: ExperimentManifest, out: Path) -> None:
 
 
 def cmd_replay(inputs, out: Path, plan: AnalysisPlan) -> None:
+    from . import analysis
     for path in inputs:
         if not os.path.isdir(path):
             raise ConfigError(f"replay input {path} is not a directory")
@@ -331,6 +339,7 @@ def cmd_score(m: ExperimentManifest, out: Path) -> None:
 
 def cmd_fixtures(out: Path) -> None:
     """Emit the embedded recorded-measurement fixtures for inspection/replay."""
+    from . import fixtures
     runs = {run[0]: run[2:] for run in fixtures.iter_fixture_runs()}  # name: (record, timeline)
     _make_out(out)
     # A taken run path, or a directory at a file a run writes, is refused before any is written.

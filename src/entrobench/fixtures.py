@@ -9,12 +9,17 @@ mean reproduces the recorded wattage exactly.
 
 from __future__ import annotations
 
-from .spec import Family, GemmConfig, PatternSpec, RunRecord, ValueMode, flop_count
+from .spec import (
+    FIXED_INPUT_W,
+    RANDOM_INPUT_W,
+    Family,
+    GemmConfig,
+    PatternSpec,
+    RunRecord,
+    ValueMode,
+    flop_count,
+)
 from .telemetry import PowerSample, Timeline
-
-TDP_W = 400.0
-RANDOM_INPUT_W = 398.2
-FIXED_INPUT_W = 238.5
 
 GPU_FLOP_RATE_RANDOM = 18.6e12
 GPU_FLOP_RATE_FIXED = 19.4e12

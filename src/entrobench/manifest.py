@@ -20,11 +20,22 @@ import math
 from dataclasses import MISSING, dataclass, field, replace
 from operator import attrgetter
 
-from . import fixtures
 from .errors import ConfigError, FormatError
-from .records import decode_list, encode
-from .spec import Family, GemmConfig, PatternSpec, Schedule, ValueMode, read_text, write_file
-from .telemetry import DEFAULT_INTERVAL_MS
+from .spec import (
+    DEFAULT_INTERVAL_MS,
+    FIXED_INPUT_W,
+    RANDOM_INPUT_W,
+    TDP_W,
+    Family,
+    GemmConfig,
+    PatternSpec,
+    Schedule,
+    ValueMode,
+    decode_list,
+    encode,
+    read_text,
+    write_file,
+)
 
 SCHEMA_VERSION = 1
 
@@ -45,9 +56,9 @@ class SweepPlan:
 
 @dataclass(frozen=True)
 class AnalysisPlan:
-    tdp_w: float = fixtures.TDP_W
-    baseline_random_w: float = fixtures.RANDOM_INPUT_W
-    baseline_fixed_w: float = fixtures.FIXED_INPUT_W
+    tdp_w: float = TDP_W
+    baseline_random_w: float = RANDOM_INPUT_W
+    baseline_fixed_w: float = FIXED_INPUT_W
 
     def __post_init__(self):
         for name in ("tdp_w", "baseline_random_w", "baseline_fixed_w"):

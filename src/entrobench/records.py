@@ -1,12 +1,11 @@
 """RunRecord persistence: one CSV file per run (header row + data row).
 
-RECORD_COLUMNS lists the columns; manifests share the encode/decode_list codec.
+RECORD_COLUMNS lists the columns; the encode/decode_list codec is spec's.
 """
 
 from __future__ import annotations
 
 import csv
-import enum
 import io
 from operator import attrgetter
 
@@ -17,27 +16,13 @@ from .spec import (
     PatternSpec,
     RunRecord,
     ValueMode,
+    decode_list,
+    encode,
     read_text,
     write_file,
 )
 
 RECORD_SCHEMA = "entrobench-record v1"
-
-
-def encode(value, sep: str) -> str:
-    """A field as text: repr for floats, an enum's value, sep-joined tuples, "" for None."""
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, enum.Enum):
-        return value.value
-    if isinstance(value, tuple):
-        return sep.join(value)
-    return "" if value is None else str(value)
-
-
-def decode_list(sep: str, item=str):
-    """Decoder for a tuple that encode joined with sep; empty items are dropped."""
-    return lambda text: tuple(item(s) for s in text.split(sep) if s)
 
 
 # (column, attribute, decode).  The attribute is a path into RunRecord:

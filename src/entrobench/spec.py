@@ -2,6 +2,9 @@
 
 These types are kept apart from the code that executes them, so that
 manifests, records and timelines are read and written without numpy.
+The text codec those files share (encode, decode_list) and the defaults a
+manifest takes (sampling interval, TDP and baseline watts) live here too,
+so that loading a manifest imports nothing else of the toolkit.
 A PatternSpec is a family (two baselines plus four structured families),
 a power-of-two dimension N, a level n selecting how finely the random
 region is divided (0 <= n <= log2 N), and a value mode: independently
@@ -21,6 +24,13 @@ from .errors import ConfigError, FormatError
 SEED_SPLIT = 0x9E3779B97F4A7C15
 
 _U64 = 1 << 64
+
+# A manifest's defaults: the sampling interval, and the A100's TDP and the
+# recorded watts of its random-input and fixed-input baselines (fixtures).
+DEFAULT_INTERVAL_MS = 100.0
+TDP_W = 400.0
+RANDOM_INPUT_W = 398.2
+FIXED_INPUT_W = 238.5
 
 
 class Family(str, enum.Enum):
@@ -174,6 +184,22 @@ def flop_count(n_dim: int, reps: int) -> int:
     if n_dim < 1 or reps < 1:
         raise ConfigError("n_dim and reps must be positive")
     return reps * 2 * n_dim ** 3
+
+
+def encode(value, sep: str) -> str:
+    """A field as text: repr for floats, an enum's value, sep-joined tuples, "" for None."""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return sep.join(value)
+    return "" if value is None else str(value)
+
+
+def decode_list(sep: str, item=str):
+    """Decoder for a tuple that encode joined with sep; empty items are dropped."""
+    return lambda text: tuple(item(s) for s in text.split(sep) if s)
 
 
 def write_file(path, data) -> None:

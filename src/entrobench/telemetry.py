@@ -17,10 +17,8 @@ import time
 from dataclasses import dataclass, replace
 
 from .errors import FormatError, SourceError
-from .records import encode
-from .spec import read_text, write_file
+from .spec import DEFAULT_INTERVAL_MS, encode, read_text, write_file
 
-DEFAULT_INTERVAL_MS = 100.0
 MAX_CONSECUTIVE_FAILURES = 10
 
 TIMELINE_SCHEMA = "entrobench-timeline v1"
@@ -281,4 +279,9 @@ def write_timeline(timeline: Timeline, path) -> None:
 
 
 def read_timeline(path) -> Timeline:
-    return timeline_from_text(read_text(path))
+    """The timeline in the file at path; a FormatError names the file."""
+    text = read_text(path)
+    try:
+        return timeline_from_text(text)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

@@ -147,6 +147,26 @@ def test_malformed_replay_timeline_exits_source(tmp_path, capsys, row):
     assert failed[:2] == ["phase=telemetry-setup", "type=FormatError"]
 
 
+def test_malformed_replay_source_is_named_in_failed(tmp_path):
+    tl = tmp_path / "recorded.csv"
+    write_replay_timeline(tl)
+    tl.write_text(tl.read_text() + "0.0,abc,replay\n")
+    manifest = write_manifest(tmp_path / "m.ini", sources=(f"replay:{tl}",))
+    assert main(["--manifest", str(manifest), "run"]) == 3
+    failed = (tmp_path / "out" / "failed").read_text().splitlines()
+    assert failed[2].startswith(f"error={tl}: timeline line ")
+
+
+def test_replay_of_fixtures_with_one_malformed_row_names_the_timeline(tmp_path, capsys):
+    fx = tmp_path / "fx"
+    assert main(["--out", str(fx), "fixtures"]) == 0
+    bad = sorted(fx.glob("*/timeline-*.csv"))[-1]  # replay reads every other run first
+    bad.write_text(bad.read_text() + "2000.0,abc,fixture\n")
+    capsys.readouterr()
+    assert main(["--out", str(tmp_path / "rp"), "replay", str(fx)]) == 3
+    assert capsys.readouterr().err.startswith(f"source/backend error: {bad}: timeline line ")
+
+
 def test_replay_of_run_with_malformed_timeline_exits_source(tmp_path, capsys):
     tl = tmp_path / "recorded.csv"
     write_replay_timeline(tl)
@@ -644,6 +664,30 @@ def test_cli_and_manifest_load_without_numpy(tmp_path):
             "m.load_manifest(sys.argv[1])\n"
             "print(sorted(name for name in sys.modules if name.split('.')[0] == 'numpy'))\n")
     assert fresh_python(code, str(manifest)) == "[]\n"
+
+
+def test_cli_and_manifest_load_only_errors_spec_and_manifest(tmp_path):
+    manifest = write_manifest(tmp_path / "m.ini")
+    code = ("import sys, entrobench.cli, entrobench.manifest as m\n"
+            "m.load_manifest(sys.argv[1])\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'entrobench'))\n")
+    assert fresh_python(code, str(manifest)) == str([
+        "entrobench", "entrobench.cli", "entrobench.errors", "entrobench.manifest",
+        "entrobench.spec"]) + "\n"
+
+
+def test_score_loads_no_telemetry_analysis_fixtures_or_records(tmp_path):
+    manifest = write_manifest(tmp_path / "m.ini", pattern=PatternSpec("sparse_rowcol", 8),
+                              sweep=SweepPlan(), model=Schedule(lanes=4))
+    code = ("import sys\n"
+            "from entrobench.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(sorted(name for name in sys.modules if name in {\n"
+            "    'entrobench.telemetry', 'entrobench.analysis', 'entrobench.fixtures',\n"
+            "    'entrobench.records'}))\n")
+    stdout = fresh_python(code, "--manifest", str(manifest), "score")
+    assert stdout.splitlines()[-1] == "[]"
+    assert len((tmp_path / "out" / "score.csv").read_text().splitlines()) == 1 + 2 * 4
 
 
 def test_fixtures_then_replay_run_with_numpy_unimportable(tmp_path):
