@@ -59,7 +59,9 @@ class ToggleReport:
 # Words per block of the toggle counter (128 KiB of float64): one
 # accumulator word per lane of each distinct tile in the block, and one
 # word per tile column of each of its tile rows.  Blocks hold whole
-# distinct tile rows, so a block is at least one of them.
+# distinct tile rows, so a block is at least one of them.  It also bounds
+# a chunk of k steps: a block's accumulator words of as many k steps as
+# fit, at least one.
 ACC_BLOCK = 1 << 14
 
 
@@ -157,28 +159,48 @@ def _tile_row_block(a_rows: np.ndarray, b_k: np.ndarray, col_map: np.ndarray,
     Returns, per tile row: its toggles within tiles and from each tile to
     the next, over every tile column; and its last accumulator word (the
     last lane's final word in its last tile).
+
+    The k steps run in chunks of at most ACC_BLOCK words.  Per chunk, one
+    multiply makes the products of all its k steps, and one XOR and
+    popcount count all its toggles; per k step, one add continues the
+    running sums, in the stream's order.
     """
     height, tm, n = a_rows.shape
     tn, width = b_k.shape[2], b_k.shape[4]
     lanes, m = tm * tn, height * width
-    # y[1 + l, t] is lane l's accumulator in the block's t-th tile and
-    # y[0] the last lane's one cycle earlier, so the words of a k step run
-    # down axis 0.  -0.0 is the additive identity, so a tile's first
-    # accumulator word is its first product, bit for bit, as np.cumsum
-    # leaves it; y[0] starts as that word, so lane 0 at k = 0 toggles nothing.
+    steps = max(1, min(n, ACC_BLOCK // (lanes * m)))  # k steps per chunk
+    # y[1 + s * lanes + l, t] is lane l's accumulator at the chunk's s-th
+    # k step in the block's t-th tile and y[0] the last lane's one cycle
+    # before the chunk, so a chunk's words run down axis 0 in port order.
+    # -0.0 is the additive identity, so a tile's first accumulator word is
+    # its first product, bit for bit, as np.cumsum leaves it; y[0] starts
+    # as that word, so lane 0 at k = 0 toggles nothing.
     first = a_rows[:, 0, :1] * b_k[0, 0, 0]  # [r, c]
-    y = np.full((lanes + 1, m), -0.0)
+    y = np.full((steps * lanes + 1, m), -0.0)
     y[0] = first.ravel()
-    prod = np.empty((lanes, m))
-    products = prod.reshape(tm, tn, height, width)  # lane l = di * tn + dj
+    acc = y[1:].reshape(steps, lanes, m)
+    prod = np.empty((steps, lanes, m))
+    products = prod.reshape(steps, tm, tn, height, width)  # lane l = di * tn + dj
     a_k = a_rows.transpose(2, 1, 0)[:, :, None, :, None]  # [k, di, 1, r, 1]
-    flips = np.zeros((lanes, m), np.uint32)  # per word, summed over k
-    for k in range(n):  # k outer: ascending, one add per cycle and lane
-        np.multiply(a_k[k], b_k[k], out=products)
-        np.add(y[1:], prod, out=y[1:])
-        flips += _popcount(y[1:], y[:-1])
-        y[0] = y[-1]
-    last = y[-1].reshape(height, width)[:, col_map]
+    flips = np.zeros((steps * lanes, m), np.uint32)  # per word, summed over chunks
+
+    def chunk(count):
+        # The buffers' views for a chunk of `count` k steps, made once per
+        # size, not per chunk: a step's add reads the step before, and the
+        # chunk's first add acc[-1], the previous chunk's last step.
+        words = count * lanes
+        adds = [(acc[s - 1], prod[s], acc[s]) for s in range(count)]
+        return products[:count], adds, flips[:words], y[1:words + 1], y[:words], y[words]
+
+    full = chunk(steps)
+    for k0 in range(0, n, steps):  # k outer: ascending, one add per cycle and lane
+        out, adds, chunk_flips, words, before, final = full if k0 + steps <= n else chunk(n - k0)
+        np.multiply(a_k[k0:k0 + steps], b_k[k0:k0 + steps], out=out)  # a slice stops at n
+        for prev, p, sums in adds:
+            np.add(prev, p, out=sums)
+        chunk_flips += _popcount(words, before)
+        y[0] = final
+    last = y[0].reshape(height, width)[:, col_map]  # the last lane's final words
     within = flips.sum(axis=0, dtype=np.int64).reshape(height, width) @ col_count
     between = _popcount(last[:, :-1], first[:, col_map[1:]]).sum(axis=1, dtype=np.int64)
     return within + between, last[:, -1]
@@ -198,15 +220,16 @@ def count_toggles(a: np.ndarray, b: np.ndarray, schedule: Schedule = Schedule())
     A tile's accumulator words depend only on the bits of its tile row of A
     and its tile column of B, so tiles that repeat both are exact copies.
     The accumulator words are made for each distinct tile row against each
-    distinct tile column, k-outer: one k step of every such tile in a block
-    of tile rows at a time, with the same adds in the same order as the
-    stream.  Each tile's toggles are weighted by how often its tile row and
-    tile column repeat.  The toggles from each tile to the next, in
+    distinct tile column, k-outer, a block of tile rows at a time: one
+    multiply, XOR and popcount per chunk of k steps of every such tile in
+    the block, and one add per k step, the same adds in the same order as
+    the stream.  Each tile's toggles are weighted by how often its tile row
+    and tile column repeat.  The toggles from each tile to the next, in
     tile-row-major order over the whole output, are counted at the end of
     each block through the maps from tile rows and columns to their
     distinct ones.  Memory is A, B, a copy of B's distinct tile columns if
-    some repeat, one XOR temporary and about two blocks: none of it grows
-    with the lane count.
+    some repeat, one XOR temporary and about two chunks of at most
+    ACC_BLOCK words: none of it grows with the lane count.
     """
     if not all(isinstance(x, np.ndarray) and x.ndim == 2 and x.shape == (len(a),) * 2
                and x.dtype == np.float64 and x.flags.c_contiguous for x in (a, b)):

@@ -375,6 +375,74 @@ def test_accumulator_loop_runs_only_over_distinct_tiles(monkeypatch):
     # 2 distinct tile rows: its 7 steps from tile to tile.  All 64 tiles
     # would take 64 * 64 + 8 * 7 words.
     assert sum(words) == 2 * 2 * lanes * n + 2 * (n // 2 - 1)
+    # One block; all n k steps of its 2 x 2 x lanes words fit one chunk, so
+    # one popcount counts them, and one the steps from tile to tile.
+    assert len(words) == 2
+
+
+def _chunk_operands(kind: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    if kind in ("signs", "subnormals"):
+        return _random_operands(kind, n)
+    level = {"sparse_rowcol": 0, "block_rowcol": 2}[kind]
+    pair = generate(PatternSpec(family=kind, n_dim=n, level=level, seed=3))
+    return pair.a, pair.b
+
+
+def _record_chunks(monkeypatch) -> list[list[int]]:
+    """Record the k steps of each chunk of each block of the accumulator loop.
+
+    In a block, every _popcount call but the last (the steps from tile to
+    tile) counts one chunk: its k steps times lanes rows of words.
+    """
+    blocks, inside = [], []
+    tile_row_block, popcount = model._tile_row_block, model._popcount
+
+    def block(a_rows, b_k, *maps):
+        inside.append([])
+        try:
+            return tile_row_block(a_rows, b_k, *maps)
+        finally:
+            lanes = a_rows.shape[1] * b_k.shape[2]
+            blocks.append([len(x) // lanes for x in inside.pop()[:-1]])
+
+    def count(x, y):
+        if inside:
+            inside[-1].append(x)
+        return popcount(x, y)
+
+    monkeypatch.setattr(model, "_tile_row_block", block)
+    monkeypatch.setattr(model, "_popcount", count)
+    return blocks
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 16])
+@pytest.mark.parametrize("lanes", [1, 4, 16])
+@pytest.mark.parametrize("kind", ["sparse_rowcol", "block_rowcol", "signs", "subnormals"])
+def test_chunks_of_k_steps_equal_the_whole_stream(kind, lanes, steps, monkeypatch):
+    # Chunks of 1, 2, 3 and all n k steps; 3 leaves a short last chunk of
+    # 1, whose final words must come from its own last step.  A block of
+    # `height` distinct tile rows holds height * cols tiles, so the
+    # smallest ACC_BLOCK that gives it `steps` k steps per chunk is
+    # steps * lanes * height * cols; the first height that makes every
+    # block chunk so is kept.
+    n = 16
+    a, b = _chunk_operands(kind, n)
+    schedule = Schedule(lanes)
+    expected = toggle_score(operand_stream(MatrixPair(a=a, b=b), schedule))
+    tm, tn = schedule.tile
+    rows = len(np.unique(a.view(np.uint64).reshape(n // tm, -1), axis=0))
+    cols = len(np.unique(b.view(np.uint64).reshape(n, n // tn, tn).transpose(1, 0, 2)
+                         .reshape(n // tn, -1), axis=0))
+    chunked = [steps] * (n // steps) + [n % steps] * (n % steps > 0)
+    blocks = _record_chunks(monkeypatch)
+    for height in range(1, rows + 1):
+        monkeypatch.setattr(model, "ACC_BLOCK", steps * lanes * height * cols)
+        blocks.clear()
+        assert count_toggles(a, b, schedule) == expected
+        if all(chunks == chunked for chunks in blocks):
+            break
+    else:
+        pytest.fail(f"no block height gives chunks of {steps} k steps: {blocks}")
 
 
 @pytest.mark.parametrize("lanes", [1, 4, 16])
@@ -385,10 +453,11 @@ def test_score_spec_memory_is_bounded(traced_peak, lanes):
     # all are distinct), one XOR temporary and about two blocks, whatever
     # the lane count (lane-scaled copies of A and B peaked at 4.5 MiB with
     # 16 lanes, and two accumulator words per tile at 2.9 MiB with 1 lane).
-    # An untraced call first, so that the peak does not depend on what ran
-    # before this test.
+    # sparse_rowcol at level 0 has 2 x 2 distinct tiles, so its one chunk
+    # holds all n k steps.  An untraced call first, so that the peak does
+    # not depend on what ran before this test.
     score_spec(PatternSpec(family="baseline_random", n_dim=16, seed=0), schedule_for_lanes(lanes))
-    for family, level in (("baseline_random", 0), ("block_rowcol", 2)):
+    for family, level in (("baseline_random", 0), ("block_rowcol", 2), ("sparse_rowcol", 0)):
         spec = PatternSpec(family=family, n_dim=256, level=level, seed=0)
         peak = traced_peak(lambda: score_spec(spec, schedule_for_lanes(lanes)))
         assert peak < 2.5 * 2**20, family
