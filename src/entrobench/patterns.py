@@ -24,6 +24,9 @@ from .spec import (FIXED_A_VALUE, FIXED_B_VALUE, SEED_SPLIT, Family, PatternSpec
                    write_file)
 from .spec import PATTERN_FAMILIES  # noqa: F401 - read as patterns.PATTERN_FAMILIES
 
+# Cells of A (and of B) that generate fills per block of rows: at least one row.
+GEN_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class MatrixPair:
@@ -37,26 +40,28 @@ class MatrixPair:
     b: np.ndarray
 
 
-def masks(spec: PatternSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean random-designation masks (True = random cell) for A and B.
+def masks(spec: PatternSpec, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean random-designation masks (True = random cell) of A and B at rows.
 
-    Each family defines A's mask; B's is a fixed symmetry of it.  Both are
-    C-contiguous, writable copies.  Baseline families have all-true masks
-    and are rejected here; generate() handles them directly.
+    rows is a slice of consecutive rows (all N by default); the masks of
+    any block of rows are those rows of the whole masks, and no array
+    larger than the block is made.  Each family defines A's mask as a rule
+    on row and column indices; B's is a fixed symmetry of that rule.  Both
+    are C-contiguous, writable copies.  Baseline families have all-true
+    masks and are rejected here; generate() handles them directly.
     """
     if spec.is_baseline:
         raise ConfigError(f"masks() does not apply to baseline family {spec.family.value}")
 
     n, lvl, family = spec.n_dim, spec.level, spec.family
-    i = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
+    i, j = np.arange(n)[rows, None], np.arange(n)[None, :]
     s = n >> lvl  # block stripe width, or sparse diagonal stride; a power of two dividing n
     if family is Family.BLOCK_ROWCOL:  # row stripes, every row at level 0; B: transpose
-        mask_a = np.broadcast_to((i // s) % 2 == 0, (n, n))
-        mask_b = mask_a.T
+        def rule(i, j): return (i // s) % 2 == 0
+        mask_a, mask_b = rule(i, j), rule(j, i)
     elif family is Family.SPARSE_ROWCOL:  # the first 2^level rows; B: transpose
-        mask_a = np.broadcast_to(i < (1 << lvl), (n, n))
-        mask_b = mask_a.T
+        def rule(i, j): return i < (1 << lvl)
+        mask_a, mask_b = rule(i, j), rule(j, i)
     elif family is Family.BLOCK_DIAGONAL:  # s x s checkerboard; B: complement, full at level 0
         # i // s + j // s is even exactly when i and j agree at bit s.
         mask_a = ((i ^ j) & s) == 0
@@ -64,9 +69,9 @@ def masks(spec: PatternSpec) -> tuple[np.ndarray, np.ndarray]:
     else:  # sparse_diagonal: 2^level diagonals j - i = 0 mod s; B: left-right mirror
         # x & (s - 1) is x mod s, for negative x too.  Mirrored, the
         # diagonals are i + j = s - 1 mod s, since s divides n.
-        mask_a = ((j - i) & (s - 1)) == 0
-        mask_b = mask_a[:, ::-1]
-    return mask_a.copy(), mask_b.copy()
+        def rule(i, j): return ((j - i) & (s - 1)) == 0
+        mask_a, mask_b = rule(i, j), rule(i, n - 1 - j)
+    return tuple(np.broadcast_to(m, (i.size, n)).copy() for m in (mask_a, mask_b))
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -86,7 +91,12 @@ def generate(spec: PatternSpec) -> MatrixPair:
     """Generate the A/B operand pair for a spec.
 
     Pure function of the spec: identical specs (including seed) yield
-    bit-identical matrices.
+    bit-identical matrices.  A pattern family's A and B are filled one
+    block of rows at a time (GEN_BLOCK cells, at least one row), by one
+    masked fill per operand for either value mode, so generation holds A,
+    B and one block's masks and draws.  PCG64 draws the same doubles in
+    chunks as in one call, and a masked fill writes in row-major order, so
+    the block size never changes a bit.
     """
     n = spec.n_dim
     rng_a = _rng(spec.seed)
@@ -99,16 +109,16 @@ def generate(spec: PatternSpec) -> MatrixPair:
         a = _uniform_open_closed(rng_a, (n, n))
         b = _uniform_open_closed(rng_b, (n, n))
     else:
-        mask_a, mask_b = masks(spec)
         a = np.zeros((n, n))
         b = np.zeros((n, n))
-        if spec.value_mode is ValueMode.FIXED_COMMON:
-            common = _uniform_open_closed(rng_a, 1)[0]
-            a[mask_a] = common
-            b[mask_b] = common
-        else:
-            a[mask_a] = _uniform_open_closed(rng_a, int(np.count_nonzero(mask_a)))
-            b[mask_b] = _uniform_open_closed(rng_b, int(np.count_nonzero(mask_b)))
+        fixed = spec.value_mode is ValueMode.FIXED_COMMON
+        common = _uniform_open_closed(rng_a, 1)[0] if fixed else None
+        step = max(1, GEN_BLOCK // n)
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            for m, mask, rng in zip((a, b), masks(spec, rows), (rng_a, rng_b)):
+                m[rows][mask] = (common if fixed
+                                 else _uniform_open_closed(rng, np.count_nonzero(mask)))
 
     a.setflags(write=False)
     b.setflags(write=False)

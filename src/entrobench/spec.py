@@ -81,6 +81,11 @@ class PatternSpec:
                 f"level must be in [0, {max_level}] for n_dim={self.n_dim}, "
                 f"got {self.level}"
             )
+        # A baseline's matrices have no level or value mode, so a record must not claim one.
+        if self.is_baseline and (self.level or self.value_mode is not ValueMode.INDEPENDENT):
+            raise ConfigError(
+                f"{self.family.value} takes level 0 and value_mode independent, "
+                f"got level {self.level} and value_mode {self.value_mode.value}")
         if not 0 <= self.seed < _U64:
             raise ConfigError(f"seed must be an unsigned 64-bit value, got {self.seed}")
 

@@ -313,6 +313,33 @@ def test_unknown_manifest_key_exits_config(tmp_path, capsys, section, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key,value", [("level", "3"), ("value_mode", "fixed_common")])
+def test_a_baseline_with_a_level_or_value_mode_is_refused(tmp_path, capsys, key, value):
+    # generate ignores both for a baseline, so its record and summary would claim a pattern
+    # that never ran.
+    tl = tmp_path / "recorded.csv"
+    write_replay_timeline(tl)
+    manifest = write_manifest(tmp_path / "m.ini", PatternSpec(family="baseline_random", n_dim=16),
+                              sources=(f"replay:{tl}",))
+    text = manifest.read_text()
+    for command in ("run", "score"):
+        manifest.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M))
+        assert main(["--manifest", str(manifest), command]) == 2
+        assert "baseline_random takes level 0 and value_mode independent" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+    # A record that claims one is malformed.
+    manifest.write_text(text)
+    assert main(["--manifest", str(manifest), "run"]) == 0
+    record = tmp_path / "out" / "record.csv"
+    header, row = record.read_text().splitlines()[-2:]
+    fields = row.split(",")
+    fields[header.split(",").index(key)] = value
+    record.write_text(record.read_text().replace(row, ",".join(fields)))
+    assert main(["--out", str(tmp_path / "rp"), "replay", str(tmp_path / "out")]) == 3
+    assert "malformed record file" in capsys.readouterr().err
+
+
 # a manifest saved while these keys existed: any value, valid then or not, is refused
 @pytest.mark.parametrize("key,value,command", [
     ("trim_fraction", "0.6", "run"),  # [analysis]

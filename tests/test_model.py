@@ -204,7 +204,10 @@ def test_block_streamed_toggles_equal_whole_stream(family, mode, lanes, monkeypa
         return
     schedule = Schedule(lanes=lanes)
     tile = schedule.tile  # 256 lanes: one 16x16 tile covers the output
-    spec = PatternSpec(family=family, n_dim=n, level=2, value_mode=mode, seed=4)
+    # A baseline takes only level 0 and independent values; either mode scores that spec.
+    baseline = family in entrobench.spec.BASELINE_FAMILIES
+    pattern = {} if baseline else {"level": 2, "value_mode": mode}
+    spec = PatternSpec(family=family, n_dim=n, seed=4, **pattern)
     pair = generate(spec)
     expected = toggle_score(operand_stream(pair, schedule))
     assert model.ACC_BLOCK >= n * n  # one block

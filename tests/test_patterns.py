@@ -1,4 +1,5 @@
 import ast
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entrobench
+from entrobench import patterns
 from entrobench.errors import ConfigError
 from entrobench.patterns import (
     Family,
@@ -23,6 +25,13 @@ from golden_masks import GOLDEN, grid_to_mask
 
 BLOCK_FAMILIES = (Family.BLOCK_ROWCOL, Family.BLOCK_DIAGONAL)
 SPARSE_FAMILIES = (Family.SPARSE_ROWCOL, Family.SPARSE_DIAGONAL)
+MODES = tuple(ValueMode)
+
+
+def _every_spec(n, levels=None):
+    return [PatternSpec(family=family, n_dim=n, level=level, value_mode=mode)
+            for family in BLOCK_FAMILIES + SPARSE_FAMILIES
+            for level in (levels or range(n.bit_length())) for mode in MODES]
 
 
 @pytest.mark.parametrize("family,level", sorted(GOLDEN))
@@ -87,6 +96,53 @@ def test_masks_equal_the_closed_formulas(family):
             np.testing.assert_array_equal(mask_b, np.broadcast_to(expected[1], (n, n)))
 
 
+@pytest.mark.parametrize("n", [8, 64])
+@pytest.mark.parametrize("height", [1, 3])  # 3 leaves a short last block
+def test_masks_of_a_block_of_rows_are_those_rows_of_the_whole_masks(n, height):
+    for spec in _every_spec(n)[::len(MODES)]:  # the masks do not depend on the value mode
+        whole = masks(spec)
+        for start in range(0, n, height):
+            block = masks(spec, slice(start, start + height))
+            for part, full in zip(block, whole):
+                assert part.flags.c_contiguous and part.flags.writeable
+                np.testing.assert_array_equal(part, full[start:start + height])
+
+
+@pytest.mark.parametrize("n,heights,levels", [
+    (8, [8, 1, 3, None], None),  # rows per block: N is one block, None is GEN_BLOCK's default
+    (64, [64, 1, 3, None], None),
+    (256, [256, 3], None),  # the default is one block up to N = 256
+    (512, [512, None], None),
+    (1024, [1024, None], [0, 5, 10]),
+])
+def test_generate_gives_the_same_bytes_for_any_block_size(monkeypatch, n, heights, levels):
+    default, calls = patterns.GEN_BLOCK, []
+
+    def spy(spec, rows=slice(None)):
+        calls.append(rows)
+        return masks(spec, rows)
+
+    monkeypatch.setattr(patterns, "masks", spy)
+    for spec in _every_spec(n, levels):
+        first = None
+        for height in heights:
+            monkeypatch.setattr(patterns, "GEN_BLOCK", default if height is None else height * n)
+            calls.clear()
+            pair = generate(spec)
+            assert len(calls) == -(-n // (height or default // n)), (spec, height)
+            if first is None:  # one block: each operand filled whole
+                first = pair
+            for m, expected in ((pair.a, first.a), (pair.b, first.b)):
+                assert np.array_equal(m.view(np.uint64), expected.view(np.uint64)), (spec, height)
+
+
+def test_generate_keeps_its_bytes():
+    # Taken when generate filled each operand whole, before it filled a block of rows at a time.
+    pair = generate(PatternSpec(family="sparse_diagonal", n_dim=512, level=5, seed=5))
+    assert hashlib.sha256(pair.a.tobytes() + pair.b.tobytes()).hexdigest() == (
+        "6289682d261784275667ee38b97c165a7d227454bafe33078e0b52d84be4e62d")
+
+
 def test_block_rowcol_mask_b_is_transpose_of_a():
     for level in range(5):
         mask_a, mask_b = masks(
@@ -113,6 +169,16 @@ def test_masks_rejects_baselines_and_bad_level():
         PatternSpec(family="block_rowcol", n_dim=12)
     with pytest.raises(ConfigError):
         PatternSpec(family="block_rowcol", n_dim=8, seed=-1)
+
+
+@pytest.mark.parametrize("family", ["baseline_random", "baseline_fixed"])
+def test_baselines_refuse_a_level_or_value_mode(family):
+    # generate ignores both for a baseline, so a spec claiming either would mislabel its record.
+    with pytest.raises(ConfigError, match="level 0 and value_mode independent"):
+        PatternSpec(family=family, n_dim=64, level=5)
+    with pytest.raises(ConfigError, match="level 0 and value_mode independent"):
+        PatternSpec(family=family, n_dim=64, value_mode="fixed_common")
+    assert PatternSpec(family=family, n_dim=64).level == 0
 
 
 def test_baseline_fixed_values():
@@ -180,6 +246,19 @@ def test_generate_holds_only_its_two_matrices(traced_peak):
     generate(spec)  # numpy's first draw allocates extra memory once
     peak = traced_peak(lambda: generate(spec))
     assert peak < 2.1 * 8 * 256 * 256, peak / (8 * 256 * 256)  # each draw is made in place
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("family", BLOCK_FAMILIES + SPARSE_FAMILIES)
+def test_generate_holds_its_two_matrices_and_a_few_blocks(traced_peak, family, mode):
+    # At each family's level with the most random cells: every cell of A
+    # and B for the sparse families at the top level and the block ones at 0.
+    n = 1024
+    spec = PatternSpec(family=family, n_dim=n, level=0 if family in BLOCK_FAMILIES else 10,
+                       value_mode=mode)
+    generate(PatternSpec(family="baseline_random", n_dim=8))  # numpy's first draw allocates once
+    peak = traced_peak(lambda: generate(spec))
+    assert peak < 2 * 8 * n * n + 4 * 8 * patterns.GEN_BLOCK, peak / (8 * n * n)
 
 
 def test_matrices_are_immutable():
