@@ -9,6 +9,7 @@ bound (power delta divided by FLOP rate).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import ConfigError, InsufficientDataError
@@ -37,12 +38,13 @@ class AggregateResult:
 def steady_state_window(timeline: Timeline, record: RunRecord) -> PowerStats:
     """Stats over the measured phase, trimmed by TRIM_FRACTION of its span at both ends."""
     start, end = record.measured_start_ms, record.measured_end_ms
-    if end <= start:
+    if not start < end:  # a nan bound would otherwise open the window to every sample
         raise InsufficientDataError(f"degenerate measured window [{start}, {end}]")
     span = end - start
     lo = start + TRIM_FRACTION * span
     hi = end - TRIM_FRACTION * span
-    watts = [s.watts for s in timeline.samples if lo <= s.t_ms <= hi]
+    t_ms = timeline.t_ms  # strictly increasing, so the window is one slice
+    watts = timeline.watts[bisect_left(t_ms, lo):bisect_right(t_ms, hi)]
     if len(watts) < MIN_WINDOW_SAMPLES:
         raise InsufficientDataError(
             f"only {len(watts)} samples in window [{lo:.1f}, {hi:.1f}] ms; "

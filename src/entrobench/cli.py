@@ -351,7 +351,8 @@ def cmd_fixtures(out: Path) -> None:
                         for file in ("record.csv", f"timeline-{runs[name][0].timeline_ids[0]}.csv"))
     for name, (record, timeline) in runs.items():
         run_dir = os.path.join(out, name)
-        _make_out(run_dir)
+        if name not in taken:  # a taken name is a directory by now
+            _make_out(run_dir)
         _write_run_dir(run_dir, record, {record.timeline_ids[0]: timeline})
     _say(f"wrote {len(runs)} fixture runs to {out}")
 

@@ -19,7 +19,7 @@ from .spec import (
     ValueMode,
     flop_count,
 )
-from .telemetry import PowerSample, Timeline
+from .telemetry import Timeline
 
 GPU_FLOP_RATE_RANDOM = 18.6e12
 GPU_FLOP_RATE_FIXED = 19.4e12
@@ -99,8 +99,8 @@ FIXTURE_INTERVAL_MS = 100.0
 def constant_timeline(mean_w: float, count: int = FIXTURE_SAMPLE_COUNT,
                       interval_ms: float = FIXTURE_INTERVAL_MS) -> Timeline:
     """Constant-power timeline whose trimmed-window mean is exactly mean_w."""
-    samples = tuple(PowerSample(t_ms=i * interval_ms, watts=mean_w) for i in range(count))
-    return Timeline(samples=samples, source="fixture", interval_ms=interval_ms)
+    return Timeline(tuple(i * interval_ms for i in range(count)), (mean_w,) * count,
+                    source="fixture", interval_ms=interval_ms)
 
 
 def fixture_record(spec: PatternSpec, flop_rate: float, timeline: Timeline) -> RunRecord:
@@ -108,7 +108,7 @@ def fixture_record(spec: PatternSpec, flop_rate: float, timeline: Timeline) -> R
     config = GemmConfig(pattern=spec, reps=GPU_REPS, backend_id="external",
                         warmup_seconds=0.0)
     total = flop_count(spec.n_dim, GPU_REPS)
-    last = timeline.samples[-1].t_ms if timeline.samples else 0.0
+    last = timeline.t_ms[-1] if timeline.t_ms else 0.0
     return RunRecord(
         config=config,
         warmup_seconds=0.0,

@@ -152,6 +152,10 @@ class RunRecord:
         if not 0 <= self.warmup_seconds < math.inf:
             raise ConfigError(
                 f"warmup_seconds must be nonnegative and finite, got {self.warmup_seconds}")
+        # A live window may start before the sampler's epoch: only non-finite bounds are refused.
+        for name in ("measured_start_ms", "measured_end_ms"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Power telemetry collection and parsing.
 
-Timelines are ordered (t_ms, watts) samples from one source: a Cray-style
-pm_counters file, a RAPL-style microjoule counter file (power derived by
-finite differences), or a replay file.  A live source's read() returns
+Timelines are ordered (t_ms, watts) samples from one source, held as two
+columns: a Cray-style pm_counters file, a RAPL-style microjoule counter
+file (power derived by finite differences), or a replay file.  A live source's read() returns
 watts, or None for a poll that gave no reading.
 Samples are taken at face value; no smoothing, and parsers never invent
 samples for gaps.
@@ -14,6 +14,7 @@ import csv
 import math
 import threading
 import time
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 from .errors import FormatError, SourceError
@@ -27,21 +28,25 @@ TIMELINE_HEADER = "t_ms,watts,source"  # every row's source is the timeline's
 TIMELINE_KEYS = (("source", str), ("epoch", float), ("interval_ms", float), ("gap_count", int))
 
 
-@dataclass(frozen=True)
-class PowerSample:
-    t_ms: float
-    watts: float
+# One sample, as Timeline.samples gives it; a Timeline stores its samples as two columns.
+PowerSample = namedtuple("PowerSample", "t_ms watts")
 
-    def __post_init__(self):
-        if not 0.0 <= self.t_ms < math.inf:
-            raise FormatError(f"t_ms must be nonnegative and finite, got {self.t_ms}")
-        if not 0.0 <= self.watts < math.inf:
-            raise FormatError(f"watts must be nonnegative and finite, got {self.watts}")
+
+def _refusal(prev: float, t_ms: float, watts: float) -> str:
+    """Why a sample at t_ms reading watts cannot follow one at prev, or "" if it can."""
+    if not 0.0 <= t_ms < math.inf:
+        return f"t_ms must be nonnegative and finite, got {t_ms}"
+    if not 0.0 <= watts < math.inf:
+        return f"watts must be nonnegative and finite, got {watts}"
+    if not prev < t_ms:
+        return f"samples must be strictly increasing in t_ms ({prev} -> {t_ms})"
+    return ""
 
 
 @dataclass(frozen=True)
 class Timeline:
-    samples: tuple[PowerSample, ...]
+    t_ms: tuple[float, ...]
+    watts: tuple[float, ...]
     source: str = "timeline"  # the label of every sample
     epoch: float = 0.0
     interval_ms: float = DEFAULT_INTERVAL_MS
@@ -52,15 +57,22 @@ class Timeline:
             raise FormatError(f"interval_ms must be positive and finite, got {self.interval_ms}")
         if self.gap_count < 0:
             raise FormatError(f"gap_count must be nonnegative, got {self.gap_count}")
-        times = [s.t_ms for s in self.samples]
-        for prev, cur in zip(times, times[1:]):
-            if cur <= prev:
-                raise FormatError(
-                    f"samples must be strictly increasing in t_ms ({prev} -> {cur})"
-                )
+        if len(self.t_ms) != len(self.watts):
+            raise FormatError(f"t_ms and watts must have equal lengths, "
+                              f"got {len(self.t_ms)} and {len(self.watts)}")
+        prev = -math.inf
+        for t, w in zip(self.t_ms, self.watts):
+            if not (prev < t < math.inf and t >= 0.0 and 0.0 <= w < math.inf):
+                raise FormatError(_refusal(prev, t, w))
+            prev = t
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.t_ms)
+
+    @property
+    def samples(self) -> tuple[PowerSample, ...]:
+        """The samples in order, as named tuples made anew on each access."""
+        return tuple(map(PowerSample, self.t_ms, self.watts))
 
 
 class FilePowerSource:
@@ -114,7 +126,7 @@ def sample_loop(source, interval_ms: float, stop_signal: threading.Event) -> Tim
     if interval_ms < 1:
         raise FormatError(f"interval_ms must be >= 1, got {interval_ms}")
 
-    samples = []
+    t_ms, watts = [], []
     gaps = 0
     consecutive_failures = 0
     epoch = time.perf_counter()
@@ -122,13 +134,16 @@ def sample_loop(source, interval_ms: float, stop_signal: threading.Event) -> Tim
     while not stop_signal.is_set():
         tick += 1
         try:
-            watts = source.read()
-            if watts is None:
+            reading = source.read()
+            if reading is None:
                 gaps += 1
             else:
-                sample = PowerSample(t_ms=(time.perf_counter() - epoch) * 1000.0, watts=watts)
-                if not samples or sample.t_ms > samples[-1].t_ms:
-                    samples.append(sample)
+                if not 0.0 <= reading < math.inf:
+                    raise FormatError(f"watts must be nonnegative and finite, got {reading}")
+                now_ms = (time.perf_counter() - epoch) * 1000.0
+                if not t_ms or now_ms > t_ms[-1]:
+                    t_ms.append(now_ms)
+                    watts.append(reading)
             consecutive_failures = 0
         except Exception as exc:  # noqa: BLE001 - counted, then surfaced
             gaps += 1
@@ -142,7 +157,7 @@ def sample_loop(source, interval_ms: float, stop_signal: threading.Event) -> Tim
         remaining = next_deadline - time.perf_counter()
         if remaining > 0:
             stop_signal.wait(remaining)
-    return Timeline(samples=tuple(samples), source=source.name, epoch=epoch,
+    return Timeline(tuple(t_ms), tuple(watts), source=source.name, epoch=epoch,
                     interval_ms=interval_ms, gap_count=gaps)
 
 
@@ -205,10 +220,10 @@ class ReplaySampler:
         return self._timeline
 
     def window(self, t_start: float, t_end: float) -> tuple[float, float]:
-        samples = self._timeline.samples
-        if not samples:
+        t_ms = self._timeline.t_ms
+        if not t_ms:
             return 0.0, (t_end - t_start) * 1000.0
-        return samples[0].t_ms, samples[-1].t_ms
+        return t_ms[0], t_ms[-1]
 
 
 def parse_pm_counters(text: str) -> float:
@@ -236,7 +251,7 @@ def timeline_to_text(timeline: Timeline) -> str:
     meta = " ".join(f"{key}={encode(getattr(timeline, key), '')}" for key, _ in TIMELINE_KEYS)
     row_end = f",{timeline.source}\n"
     return "".join([f"# {TIMELINE_SCHEMA} {meta}\n{TIMELINE_HEADER}\n",
-                    *[f"{s.t_ms!r},{s.watts!r}{row_end}" for s in timeline.samples]])
+                    *[f"{t!r},{w!r}{row_end}" for t, w in zip(timeline.t_ms, timeline.watts)]])
 
 
 _SCHEMA_TOKENS = ["#", *TIMELINE_SCHEMA.split()]
@@ -256,22 +271,41 @@ def timeline_from_text(text: str) -> Timeline:
             if not sep or key not in _DECODERS or key in meta:
                 raise FormatError(f"{'repeated' if key in meta else 'unknown'} token {token!r}")
             meta[key] = _DECODERS[key](value)
-        source = Timeline(samples=(), **meta).source  # checks the metadata before any row
+        source = Timeline((), (), **meta).source  # checks the metadata before any row
     except (ValueError, FormatError) as exc:
         raise FormatError(f"timeline line 1: malformed metadata: {exc}") from exc
     if len(lines) < 2 or lines[1] != TIMELINE_HEADER:
         raise FormatError(f"expected header {TIMELINE_HEADER!r}")
-    samples = []
+    t_ms, watts = [], []
+    try:  # on any refusal, _first_bad_row finds the first bad row again and names its line
+        for row in csv.reader(lines[2:]):
+            if row:
+                t_ms.append(float(row[0]))
+                watts.append(float(row[1]))
+                if row[2] != source:
+                    raise FormatError(row[2])
+        return Timeline(tuple(t_ms), tuple(watts), **meta)  # checks every sample
+    except (IndexError, ValueError, FormatError):
+        raise _first_bad_row(lines, source) from None
+
+
+def _first_bad_row(lines, source: str) -> FormatError:
+    """The error naming the first row of a timeline's text that timeline_from_text refuses."""
+    prev = -math.inf
     for line_no, row in enumerate(csv.reader(lines[2:]), start=3):
         if not row:
             continue
         try:
-            samples.append(PowerSample(float(row[0]), float(row[1])))
+            t, w = float(row[0]), float(row[1])
+            refusal = _refusal(prev, t, w)
+            if refusal:
+                raise FormatError(refusal)
             if row[2] != source:
                 raise FormatError(f"label {row[2]!r} is not the header's {source!r}")
         except (IndexError, ValueError, FormatError) as exc:
-            raise FormatError(f"timeline line {line_no}: malformed row {row!r}: {exc}") from exc
-    return Timeline(tuple(samples), **meta)
+            return FormatError(f"timeline line {line_no}: malformed row {row!r}: {exc}")
+        prev = t
+    raise AssertionError("timeline_from_text refused a row that every check passes")
 
 
 def write_timeline(timeline: Timeline, path) -> None:

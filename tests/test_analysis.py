@@ -1,10 +1,15 @@
+import dataclasses
+import types
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entrobench import fixtures
 from entrobench.analysis import (
+    MIN_WINDOW_SAMPLES,
     TRIM_FRACTION,
+    PowerStats,
     aggregate_runs,
     percent_increase,
     pj_per_flop,
@@ -13,24 +18,19 @@ from entrobench.analysis import (
 )
 from entrobench.errors import ConfigError, InsufficientDataError
 from entrobench.patterns import PatternSpec
-from entrobench.telemetry import PowerSample, Timeline
+from entrobench.telemetry import Timeline
 
 
 def ramp_timeline(values, interval_ms=100.0):
-    samples = tuple(
-        PowerSample(t_ms=i * interval_ms, watts=w)
-        for i, w in enumerate(values)
-    )
-    return Timeline(samples=samples, source="t", interval_ms=interval_ms)
+    t_ms = tuple(i * interval_ms for i in range(len(values)))
+    return Timeline(t_ms, tuple(values), source="t", interval_ms=interval_ms)
 
 
 def make_record(last_ms):
     spec = PatternSpec(family="baseline_fixed", n_dim=4)
     timeline = fixtures.constant_timeline(1.0, count=2)
     record = fixtures.fixture_record(spec, 1e12, timeline)
-    from dataclasses import replace
-
-    return replace(record, measured_start_ms=0.0, measured_end_ms=last_ms)
+    return dataclasses.replace(record, measured_start_ms=0.0, measured_end_ms=last_ms)
 
 
 def test_steady_state_trims_edges():
@@ -59,6 +59,38 @@ def test_steady_state_insufficient_samples():
 def test_steady_state_rejects_bad_inputs():
     with pytest.raises(InsufficientDataError):
         steady_state_window(ramp_timeline([1.0] * 12), make_record(0.0))
+
+
+@pytest.mark.parametrize("start,end", [(float("nan"), 1900.0), (0.0, float("nan")),
+                                       (float("nan"), float("nan"))])
+def test_steady_state_refuses_a_nan_window(start, end):
+    # RunRecord itself refuses nan, so a stand-in carries the window
+    record = types.SimpleNamespace(measured_start_ms=start, measured_end_ms=end)
+    with pytest.raises(InsufficientDataError, match="degenerate measured window"):
+        steady_state_window(ramp_timeline([300.0] * 20), record)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_window_slice_equals_the_samples_between_the_trimmed_bounds(data):
+    start = data.draw(st.floats(-100.0, 500.0))
+    end = start + data.draw(st.floats(1.0, 1000.0))
+    span = end - start
+    lo, hi = start + TRIM_FRACTION * span, end - TRIM_FRACTION * span
+    times = data.draw(st.lists(st.floats(0.0, 1200.0), max_size=30))
+    first, steps = max(lo, 0.0), data.draw(st.integers(1, 30))
+    grid = [first + (hi - first) * i / steps for i in range(steps)]
+    t_ms = sorted({*times, *(t for t in (*grid, lo, hi) if t >= 0.0)})  # samples on lo and hi
+    watts = data.draw(st.lists(st.floats(0.0, 1e4), min_size=len(t_ms), max_size=len(t_ms)))
+    record = dataclasses.replace(make_record(1.0), measured_start_ms=start, measured_end_ms=end)
+    inside = [w for t, w in zip(t_ms, watts) if lo <= t <= hi]
+    timeline = Timeline(tuple(t_ms), tuple(watts))
+    if len(inside) < MIN_WINDOW_SAMPLES:
+        with pytest.raises(InsufficientDataError):
+            steady_state_window(timeline, record)
+    else:
+        assert steady_state_window(timeline, record) == PowerStats(
+            sum(inside) / len(inside), len(inside))
 
 
 def test_headline_metric_values():

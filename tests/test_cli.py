@@ -674,6 +674,22 @@ def test_fixtures_and_their_replay_write_pinned_bytes(tmp_path):
     assert tree_digest(rp) == "45a1ff0880e48d1d0c8a237591ea32b2b67430527fedadda10302aae682658eb"
 
 
+def test_fixtures_and_their_replay_construct_no_power_sample(tmp_path, monkeypatch):
+    made = []
+    new = telemetry.PowerSample.__new__
+
+    def spy(cls, *args):
+        made.append(args)
+        return new(cls, *args)
+
+    monkeypatch.setattr(telemetry.PowerSample, "__new__", spy)
+    assert len(fixtures.constant_timeline(1.0, count=2).samples) == len(made) == 2  # it spies
+    made.clear()
+    assert main(["--out", str(tmp_path / "fx"), "fixtures"]) == 0
+    assert main(["--out", str(tmp_path / "rp"), "replay", str(tmp_path / "fx")]) == 0
+    assert made == []
+
+
 def fresh_python(code, *args):
     """Run code in a new interpreter that imports entrobench from this checkout."""
     src = str(Path(cli.__file__).parents[1])
@@ -934,7 +950,11 @@ def test_run_of_a_one_sample_replay_exits_insufficient_data(tmp_path, capsys):
                                           ("flop_rate", "0.0"), ("flop_rate", "-1.0"),
                                           ("measured_seconds", "0.0"),
                                           ("warmup_seconds", "-1.0"),
-                                          ("warmup_seconds", "inf")])
+                                          ("warmup_seconds", "inf"),
+                                          ("measured_start_ms", "nan"),
+                                          ("measured_start_ms", "-inf"),
+                                          ("measured_end_ms", "nan"),
+                                          ("measured_end_ms", "inf")])
 def test_replay_of_a_record_value_the_config_refuses_exits_source(tmp_path, capsys,
                                                                    column, value):
     tl = tmp_path / "recorded.csv"
@@ -963,8 +983,8 @@ def test_run_samples_live_pm_and_rapl_files(tmp_path):
     out = tmp_path / "out"
     pm_timeline = telemetry.read_timeline(out / "timeline-pm_counters-0.csv")
     rapl_timeline = telemetry.read_timeline(out / "timeline-rapl-1.csv")
-    assert pm_timeline.samples and all(s.watts == 217.25 for s in pm_timeline.samples)
-    assert rapl_timeline.samples and all(s.watts == 0.0 for s in rapl_timeline.samples)
+    assert pm_timeline.watts and all(w == 217.25 for w in pm_timeline.watts)
+    assert rapl_timeline.watts and all(w == 0.0 for w in rapl_timeline.watts)
     assert rapl_timeline.gap_count >= 1  # the first read only sets the baseline
     assert float(read_csv(out / "summary.csv")[0]["mean_w"]) == 217.25
 

@@ -18,7 +18,7 @@ from entrobench.gemm import (
     run_experiment,
 )
 from entrobench.patterns import PatternSpec
-from entrobench.telemetry import PowerSample, ReplaySampler, Sampler, Timeline
+from entrobench.telemetry import ReplaySampler, Sampler, Timeline
 
 
 def naive_gemm(a, b, c, alpha, beta):
@@ -414,16 +414,16 @@ def test_every_sampler_stops_before_a_samplers_error_is_raised():
 
 def test_replay_keeps_every_sample_and_the_recorded_span():
     recorded = Timeline(
-        samples=tuple(PowerSample(t_ms=10.0 * i, watts=300.0 + i % 7)
-                      for i in range(2000)),
+        tuple(10.0 * i for i in range(2000)), tuple(300.0 + i % 7 for i in range(2000)),
         source="fixture", epoch=3.5, interval_ms=10.0,
     )
-    expected = [(s.t_ms, s.watts) for s in recorded.samples]
+    expected = (recorded.t_ms, recorded.watts)
     config = GemmConfig(pattern=PatternSpec(family="baseline_random", n_dim=2),
                         reps=1, warmup_seconds=0.0)
     for _ in range(50):
         record, timelines = run_experiment(config, samplers=[ReplaySampler(recorded)])
-        assert [(s.t_ms, s.watts) for s in timelines["replay-0"].samples] == expected
+        replayed = timelines["replay-0"]
+        assert (replayed.t_ms, replayed.watts) == expected
         assert (record.measured_start_ms, record.measured_end_ms) == (0.0, 19990.0)
 
 

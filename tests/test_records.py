@@ -1,8 +1,9 @@
 import dataclasses
+import math
 
 import pytest
 
-from entrobench.errors import FormatError
+from entrobench.errors import ConfigError, FormatError
 from entrobench.gemm import GemmConfig, RunRecord, run_experiment
 from entrobench.patterns import PatternSpec
 from entrobench.records import (
@@ -99,6 +100,22 @@ def test_column_table_covers_each_field_once():
 def test_malformed_record_is_a_format_error(text):
     with pytest.raises(FormatError):
         record_from_text(text)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name,written", [("measured_start_ms", "10.5"),
+                                          ("measured_end_ms", "135.5")])
+def test_a_non_finite_measured_window_is_refused(name, written, value):
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        dataclasses.replace(RECORD, **{name: value})
+    text = RECORD_TEXT.replace(f",{written},", f",{value!r},")
+    with pytest.raises(FormatError, match=f"malformed record file: {name} must be finite"):
+        record_from_text(text)
+
+
+def test_a_measured_window_may_start_before_the_sampler_epoch():
+    record = dataclasses.replace(RECORD, measured_start_ms=-2.5, measured_end_ms=-0.5)
+    assert record_from_text(record_to_text(record)) == record
 
 
 def test_record_with_crlf_line_ends_loads():

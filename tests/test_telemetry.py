@@ -5,7 +5,7 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entrobench.errors import FormatError, SourceError
@@ -52,26 +52,36 @@ def test_parse_pm_counters_rejects_energy_unit():
         parse_pm_counters("abc W 1")
 
 
+def assert_sample_refused(t_ms, watts, match):
+    """Timeline, timeline_from_text and (for a reading) sample_loop all refuse the sample."""
+    with pytest.raises(FormatError, match=match):
+        Timeline((t_ms,), (watts,))
+    text = ("# entrobench-timeline v1\nt_ms,watts,source\n0.0,1.0,timeline\n"
+            f"{t_ms!r},{watts!r},timeline\n")
+    with pytest.raises(FormatError, match=f"line 4: .*{match}"):
+        timeline_from_text(text)
+    if t_ms == 0.0:  # sample_loop stamps its own times; a refused reading is a failed poll
+        with pytest.raises(SourceError, match=f"failed 11 consecutive reads: .*{match}"):
+            sample_loop(CallablePowerSource(lambda: watts), 1.0, threading.Event())
+
+
 def test_sample_rejects_negative():
-    with pytest.raises(FormatError):
-        PowerSample(t_ms=-1.0, watts=1.0)
-    with pytest.raises(FormatError):
-        PowerSample(t_ms=0.0, watts=-1.0)
+    assert_sample_refused(-1.0, 1.0, "t_ms must be nonnegative")
+    assert_sample_refused(0.0, -1.0, "watts must be nonnegative")
 
 
 def test_timeline_rejects_nonmonotone():
-    good = PowerSample(t_ms=0.0, watts=1.0)
-    bad = PowerSample(t_ms=0.0, watts=2.0)
-    with pytest.raises(FormatError):
-        Timeline(samples=(good, bad), source="x")
+    with pytest.raises(FormatError, match="strictly increasing"):
+        Timeline((0.0, 0.0), (1.0, 2.0), source="x")
+
+
+def test_timeline_rejects_columns_of_unequal_length():
+    with pytest.raises(FormatError, match="equal lengths"):
+        Timeline((0.0, 1.0), (1.0,))
 
 
 def make_timeline(pairs, **kw):
-    return Timeline(
-        samples=tuple(PowerSample(t_ms=t, watts=w) for t, w in pairs),
-        source="x",
-        **kw,
-    )
+    return Timeline(tuple(t for t, _ in pairs), tuple(w for _, w in pairs), source="x", **kw)
 
 
 def test_timeline_text_round_trip():
@@ -149,8 +159,7 @@ PINNED_TIMELINE_TEXT = (
 
 
 def test_timeline_text_is_pinned():
-    tl = Timeline(samples=(PowerSample(0.0, 238.5), PowerSample(1e-05, 0.1),
-                           PowerSample(200.5, 1e-07)),
+    tl = Timeline((0.0, 1e-05, 200.5), (238.5, 0.1, 1e-07),
                   source="pm_counters", epoch=12345.678901234, interval_ms=10.0, gap_count=2)
     assert timeline_to_text(tl) == PINNED_TIMELINE_TEXT
     assert timeline_from_text(PINNED_TIMELINE_TEXT) == tl
@@ -158,14 +167,15 @@ def test_timeline_text_is_pinned():
 
 def test_timeline_keys_name_every_timeline_field_but_the_samples_in_written_order():
     fields = [f.name for f in dataclasses.fields(Timeline)]
-    assert [key for key, _ in TIMELINE_KEYS] == [name for name in fields if name != "samples"]
+    assert fields[:2] == ["t_ms", "watts"]
+    assert [key for key, _ in TIMELINE_KEYS] == fields[2:]
     header = timeline_to_text(make_timeline([])).splitlines()[0]
     assert [part.split("=")[0] for part in header.split()[3:]] == [k for k, _ in TIMELINE_KEYS]
 
 
 def test_timeline_header_without_keys_loads_with_the_timeline_defaults():
     tl = timeline_from_text("# entrobench-timeline v1\nt_ms,watts,source\n0.0,1.0,timeline\n")
-    assert tl == Timeline(samples=(PowerSample(0.0, 1.0),))
+    assert tl == Timeline((0.0,), (1.0,))
 
 
 @pytest.mark.parametrize("meta,rows,line", [
@@ -192,8 +202,7 @@ def test_timeline_text_refusals_name_their_line(meta, rows, line):
 @pytest.mark.parametrize("t_ms,watts", [
     (float("inf"), 1.0), (0.0, float("inf")), (float("nan"), 1.0), (0.0, float("nan"))])
 def test_sample_rejects_non_finite(t_ms, watts):
-    with pytest.raises(FormatError, match="finite"):
-        PowerSample(t_ms=t_ms, watts=watts)
+    assert_sample_refused(t_ms, watts, "must be nonnegative and finite")
 
 
 def test_non_finite_pm_counters_readings_are_counted_gaps(tmp_path):
@@ -211,7 +220,7 @@ def test_non_finite_pm_counters_readings_are_counted_gaps(tmp_path):
             return parse_pm_counters(text)
 
     tl = sample_loop(Readings(), 1.0, stop)
-    assert [s.watts for s in tl.samples] == [200.0, 210.0]
+    assert tl.watts == (200.0, 210.0)
     assert tl.gap_count == 3  # two refused readings, then the poll that stops the loop
 
 
@@ -235,7 +244,7 @@ def test_invalid_readings_are_counted_gaps_and_the_sampler_still_stops():
     sampler.start()
     assert exhausted.wait(10.0)
     tl = sampler.stop()
-    assert [s.watts for s in tl.samples] == [100.0, 100.0]
+    assert tl.watts == (100.0, 100.0)
     assert tl.gap_count == 3 + source.idle_polls
 
 
@@ -291,13 +300,72 @@ def test_timeline_round_trip_property(watts):
     assert timeline_from_text(timeline_to_text(tl)) == tl
 
 
+# Columns of any valid timeline: strictly increasing times, subnormals and 1e-300 among them.
+sample_columns = st.lists(
+    st.tuples(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+              st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)),
+    max_size=30,
+).map(lambda pairs: sorted(dict(pairs).items()))  # one watts per t_ms, in t_ms order
+
+
+@settings(max_examples=60, deadline=None)
+@given(sample_columns)
+@example([])
+@example([(0.0, 5e-324), (5e-324, 1e-300), (1e-300, 2.2250738585072014e-308)])
+def test_timeline_columns_round_trip_byte_for_byte(pairs):
+    tl = make_timeline(pairs, epoch=0.5, interval_ms=10.0, gap_count=1)
+    text = timeline_to_text(tl)
+    back = timeline_from_text(text)
+    assert back == tl
+    assert timeline_to_text(back) == text
+
+
+# Ways to spoil a row at t_ms; the earlier rows sit at t_ms - 10.0 and below.
+SPOILED_ROWS = [
+    lambda t: f"{-t - 1.0!r},1.0,x",  # t_ms negative
+    lambda t: "nan,1.0,x",
+    lambda t: f"{t!r},inf,x",
+    lambda t: f"{t!r},-1.0,x",
+    lambda t: f"{t - 10.0!r},1.0,x",  # t_ms repeated, or negative in the first row
+    lambda t: f"{t!r},abc,x",
+    lambda t: f"{t!r},1.0,y",  # another label
+    lambda t: f"{t!r},1.0",  # no label
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_timeline_text_names_the_line_of_its_first_bad_row(data):
+    n = data.draw(st.integers(1, 30))
+    bad = data.draw(st.integers(0, n - 1))
+    rows = [f"{10.0 * i!r},1.0,x" for i in range(n)]
+    rows[bad] = data.draw(st.sampled_from(SPOILED_ROWS))(10.0 * bad)
+    rows[bad + 1:] = [row.replace(",x", ",z") for row in rows[bad + 1:]]  # later rows are bad too
+    blanks = data.draw(st.lists(st.integers(0, n), max_size=3))
+    for at in sorted(blanks, reverse=True):
+        rows.insert(at, "")  # blank lines are skipped but counted
+    line = 3 + bad + sum(at <= bad for at in blanks)
+    with pytest.raises(FormatError) as err:
+        timeline_from_text("# entrobench-timeline v1 source=x\nt_ms,watts,source\n"
+                           + "\n".join(rows) + "\n")
+    assert str(err.value).startswith(f"timeline line {line}: malformed row ")
+
+
+def test_samples_are_named_tuples_of_the_columns_in_order():
+    pairs = [(0.0, 238.5), (10.0, 0.0), (25.5, 1e-300)]
+    samples = make_timeline(pairs).samples
+    assert all(type(s) is PowerSample for s in samples)
+    assert [(s.t_ms, s.watts) for s in samples] == pairs
+    assert PowerSample._fields == ("t_ms", "watts")
+
+
 def test_replay_source_emitted_verbatim():
     pairs = [(0.0, 238.5), (100.0, 398.2)]
     sampler = ReplaySampler(make_timeline(pairs, epoch=12.25, interval_ms=50.0, gap_count=3))
     assert sampler.name == "replay"
     sampler.start()
     tl = sampler.stop()
-    assert [(s.t_ms, s.watts) for s in tl.samples] == pairs
+    assert list(zip(tl.t_ms, tl.watts)) == pairs
     assert tl.source == "replay"
     assert (tl.epoch, tl.interval_ms, tl.gap_count) == (12.25, 50.0, 3)
     # the recorded span is the measured window, whatever the workload took
@@ -318,16 +386,16 @@ def test_live_sampler_window_is_in_the_timeline_frame():
     time.sleep(0.02)
     t_end = time.perf_counter()
     tl = sampler.stop()
-    assert tl.samples
+    assert tl.t_ms
     epoch = tl.epoch
     assert sampler.window(t_start, t_end) == (
         (t_start - epoch) * 1000.0, (t_end - epoch) * 1000.0)
     # each sample is stamped after its read and before the next one
     read_ms = [sampler.window(r, r)[0] for r in reads]
-    for i, s in enumerate(tl.samples):
-        assert read_ms[i] <= s.t_ms
+    for i, t_ms in enumerate(tl.t_ms):
+        assert read_ms[i] <= t_ms
         if i + 1 < len(read_ms):
-            assert s.t_ms <= read_ms[i + 1]
+            assert t_ms <= read_ms[i + 1]
 
 
 def test_sample_loop_records_values_then_stops():
@@ -342,7 +410,7 @@ def test_sample_loop_records_values_then_stops():
 
     tl = sample_loop(CallablePowerSource(read, name="cb"), 1.0, stop)
     assert len(tl) >= 3
-    assert tl.samples[0].watts == 100.0
+    assert tl.watts[0] == 100.0
     assert tl.gap_count == 0
 
 
@@ -373,7 +441,7 @@ def test_sample_loop_tolerates_intermittent_failures():
 
     tl = sample_loop(CallablePowerSource(read, name="cb"), 1.0, stop)
     assert tl.gap_count >= 5
-    assert all(s.watts == 50.0 for s in tl.samples)
+    assert all(w == 50.0 for w in tl.watts)
 
 
 def counter_reads(monkeypatch, path, clock, counts):
