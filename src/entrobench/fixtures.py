@@ -9,6 +9,8 @@ mean reproduces the recorded wattage exactly.
 
 from __future__ import annotations
 
+import functools
+
 from .spec import (
     FIXED_INPUT_W,
     RANDOM_INPUT_W,
@@ -99,8 +101,14 @@ FIXTURE_INTERVAL_MS = 100.0
 def constant_timeline(mean_w: float, count: int = FIXTURE_SAMPLE_COUNT,
                       interval_ms: float = FIXTURE_INTERVAL_MS) -> Timeline:
     """Constant-power timeline whose trimmed-window mean is exactly mean_w."""
-    return Timeline(tuple(i * interval_ms for i in range(count)), (mean_w,) * count,
+    return Timeline(_sample_times(count, interval_ms), (mean_w,) * count,
                     source="fixture", interval_ms=interval_ms)
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _sample_times(count: int, interval_ms: float) -> tuple:
+    """t_ms of every fixture timeline with this count and interval, built once."""
+    return tuple(i * interval_ms for i in range(count))
 
 
 def fixture_record(spec: PatternSpec, flop_rate: float, timeline: Timeline) -> RunRecord:

@@ -11,8 +11,11 @@ and C.  FLOP accounting uses the standard 2*N^3 per multiplication.
 
 from __future__ import annotations
 
+import contextvars
 import functools
+import os
 import subprocess
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -109,12 +112,21 @@ def _einsum_is_exact() -> bool:
     return same_bits(1) and same_bits(5)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the host's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on macOS or Windows
+        return os.cpu_count() or 1
+
+
 def reference_gemm(a, b, c: np.ndarray, alpha: float = 1.0, beta: float = 1.0) -> None:
     """C <- alpha*A*B + beta*C in place, with ascending-k per-cell summation.
 
-    Output rows are computed in blocks of about GEMM_BLOCK elements.  Each
-    block's accumulator holds its rows of A*B, summed from +0.0 over
-    k = 0..N-1 with each product A[i,k]*B[k,j] rounded before the add; then
+    Output rows are computed in blocks of about GEMM_BLOCK / W elements,
+    where W is the number of workers (below).  Each block's accumulator
+    holds its rows of A*B, summed from +0.0 over k = 0..N-1 with each
+    product A[i,k]*B[k,j] rounded before the add; then
     alpha*acc + beta*C overwrites that block of C.  Each cell thus gets the
     same additions in the same order as in a scalar triple loop, so results
     are bit-reproducible and bit-identical to it, infinities and signed
@@ -132,6 +144,21 @@ def reference_gemm(a, b, c: np.ndarray, alpha: float = 1.0, beta: float = 1.0) -
     einsum result is not finite, so that numpy reports the overflow or
     invalid operation as before.  Every call does all 2*N^3 FLOPs.
 
+    When the blocks are filled in one einsum pass, they are shared among
+    W workers, one per CPU this process may use (_usable_cpus): worker w
+    computes blocks w, w + W, ..., each as above, so no cell's operations
+    depend on W.  einsum releases the GIL, so the workers run side by side.
+    The k-outer loop's two ufunc calls per k would hand the GIL between
+    threads at every call, which makes two workers slower than one, so W
+    is 1 when the loop fills the blocks.  The caller is worker 0; the
+    others are threads started and joined within the call, at most one
+    per block, each in its own copy of the caller's context, so numpy's
+    error state and ufunc buffer size are the caller's there too.  The
+    kernel is chosen once, by the caller.  An exception raised by any
+    worker is re-raised after every thread has joined.  C then holds
+    alpha*A*B + beta*C in the blocks that were finished and its old values
+    in those that were not, and which blocks those are may depend on W.
+
     The loop runs with a ufunc buffer of about two rows: at numpy's default
     buffer size (8192 elements) the broadcast multiply copies its N-long
     rows through the iterator's buffers, which makes the loop about twice
@@ -140,9 +167,10 @@ def reference_gemm(a, b, c: np.ndarray, alpha: float = 1.0, beta: float = 1.0) -
     raised.
 
     C must be a writable N x N float64 ndarray.  Each block of C is read
-    before it is written, so working memory is only the two blocks.  A C
-    that may share memory with A or B raises ConfigError, since a written
-    block would change operands that later blocks read.
+    before it is written, so working memory is one accumulator and one
+    product block per worker, about two GEMM_BLOCK blocks in all.  A C that
+    may share memory with A or B raises ConfigError, since a written block
+    would change operands that later blocks read.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -157,13 +185,15 @@ def reference_gemm(a, b, c: np.ndarray, alpha: float = 1.0, beta: float = 1.0) -
         raise ConfigError("C must not share memory with A or B")
     one_pass = (a.flags.c_contiguous and b.flags.c_contiguous
                 and np.geterr()["under"] == "ignore" and _einsum_is_exact())
-    rows = max(1, GEMM_BLOCK // max(n, 1))
-    acc_buf = _aligned_empty((min(rows, n), n))
-    prod_buf = _aligned_empty(acc_buf.shape)
-    with np.errstate():
-        # About 2 N elements; numpy refuses a size that is not a multiple of 16.
-        np.setbufsize(max(16, -(-2 * n // 16) * 16))
-        for i0 in range(0, n, rows):
+    workers = _usable_cpus() if one_pass else 1
+    rows = max(1, GEMM_BLOCK // (max(n, 1) * workers))
+    starts = range(0, n, rows)
+    workers = max(1, min(workers, len(starts)))  # N = 0 still runs one empty share
+
+    def share(w: int) -> None:
+        acc_buf = _aligned_empty((min(rows, n), n))
+        prod_buf = _aligned_empty(acc_buf.shape)
+        for i0 in starts[w::workers]:
             i1 = min(i0 + rows, n)
             acc, prod = acc_buf[:i1 - i0], prod_buf[:i1 - i0]
             if not (one_pass and _einsum_rows(a[i0:i1], b, acc)):
@@ -171,6 +201,29 @@ def reference_gemm(a, b, c: np.ndarray, alpha: float = 1.0, beta: float = 1.0) -
             np.multiply(alpha, acc, out=acc)
             np.multiply(beta, c[i0:i1], out=prod)
             np.add(acc, prod, out=c[i0:i1])
+
+    errors: list[BaseException | None] = [None] * workers
+
+    def run_share(w: int) -> None:
+        try:
+            share(w)
+        except BaseException as exc:  # noqa: BLE001 - re-raised by the caller
+            errors[w] = exc
+
+    with np.errstate():
+        # About 2 N elements; numpy refuses a size that is not a multiple of 16.
+        np.setbufsize(max(16, -(-2 * n // 16) * 16))
+        threads = [threading.Thread(target=contextvars.copy_context().run, args=(run_share, w),
+                                    name=f"reference_gemm-{w}")
+                   for w in range(1, workers)]
+        for thread in threads:
+            thread.start()
+        run_share(0)
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 CHECKSUM_CHUNK = 1 << 14  # elements summed per np.add.accumulate call

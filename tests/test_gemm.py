@@ -1,6 +1,7 @@
 import functools
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -108,10 +109,25 @@ def test_bit_for_bit_vs_naive_oracle(kernels):
             assert_same_bits(got, want, kernel)
 
 
+def use_workers(monkeypatch, workers):
+    """Make reference_gemm share its blocks among this many workers."""
+    monkeypatch.setattr(gemm, "_usable_cpus", lambda: workers)
+
+
+def spy_threads(monkeypatch):
+    """Record (thread ident, a_rows, buffer size, error state) per block kernel call."""
+    calls = []
+    for name in ("_einsum_rows", "_loop_rows"):
+        def spy(a_rows, *args, kernel=getattr(gemm, name)):
+            calls.append((threading.get_ident(), a_rows, np.getbufsize(), np.geterr()))
+            return kernel(a_rows, *args)
+        monkeypatch.setattr(gemm, name, spy)
+    return calls
+
+
 @pytest.mark.parametrize("block_rows", [1, 3])
 @pytest.mark.parametrize("n", [1, 2, 5, 17, 64])
 def test_row_blocks_match_naive_oracle(monkeypatch, kernels, n, block_rows):
-    monkeypatch.setattr(gemm, "GEMM_BLOCK", block_rows * n)
     rng = np.random.default_rng(n)
     a, b, c = rng.standard_normal((3, n, n))
     cases = [
@@ -124,12 +140,50 @@ def test_row_blocks_match_naive_oracle(monkeypatch, kernels, n, block_rows):
     for a, b, c in cases:
         saved = a.copy(), b.copy()
         want = naive_gemm(a.tolist(), b.tolist(), c.tolist(), 1.5, -0.75)
-        for kernel in kernels():
-            got = c.copy(order="K")  # keeps c's layout: C order, transposed or Fortran
+        for workers in (1, 3):
+            use_workers(monkeypatch, workers)
+            monkeypatch.setattr(gemm, "GEMM_BLOCK", block_rows * n * workers)
+            for kernel in kernels():
+                got = c.copy(order="K")  # keeps c's layout: C order, transposed or Fortran
+                reference_gemm(a, b, got, 1.5, -0.75)
+                assert_same_bits(got, want, (kernel, workers))
+                for m, before in zip((a, b), saved):
+                    np.testing.assert_array_equal(m, before)
+
+
+@pytest.fixture
+def fast_switching():
+    """Switch threads about every microsecond, so that a lost block would show."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("n", [1, 5, 17, 64, 256])
+def test_bits_do_not_depend_on_the_worker_count(monkeypatch, kernels, fast_switching, n):
+    # Blocks of 24 // W rows: short last blocks, and at W = 8 more workers than
+    # blocks for N = 5 and 17.
+    monkeypatch.setattr(gemm, "GEMM_BLOCK", 24 * n)
+    rng = np.random.default_rng(n)
+    a, b, c = rng.standard_normal((3, n, n))
+    want = naive_gemm(a.tolist(), b.tolist(), c.tolist(), 1.5, -0.75) if n <= 64 else None
+    calls = spy_threads(monkeypatch)
+    for kernel in kernels():
+        one = None
+        for workers in (1, 2, 3, 8):
+            use_workers(monkeypatch, workers)
+            calls.clear()
+            got = c.copy()
             reference_gemm(a, b, got, 1.5, -0.75)
-            assert_same_bits(got, want, kernel)
-            for m, before in zip((a, b), saved):
-                np.testing.assert_array_equal(m, before)
+            one = got if one is None else one
+            assert got.tobytes() == one.tobytes(), (kernel, workers)
+            if want is not None:
+                assert_same_bits(got, want, (kernel, workers))
+            # only einsum blocks are shared; the loop runs on the caller alone
+            threads = {ident for ident, *_ in calls}
+            shared = kernel == "einsum" and workers > 1 and len(calls) > 1
+            assert len(threads) > 1 if shared else threads == {threading.get_ident()}
 
 
 def test_special_values_match_scalar_loop(kernels):
@@ -199,6 +253,50 @@ def test_underflow_is_still_signalled(kernels):
     for kernel in kernels():
         with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
             reference_gemm(tiny, tiny, np.zeros((2, 2)))
+
+
+def test_workers_follow_the_callers_error_state(monkeypatch, kernels):
+    """Two workers of two-row blocks: rows 2-3 are worker 1's, a thread's,
+    wherever the blocks are shared."""
+    use_workers(monkeypatch, 2)
+    monkeypatch.setattr(gemm, "GEMM_BLOCK", 16)
+    big, tiny = np.ones((4, 4)), np.ones((4, 4))
+    big[2:], tiny[2:] = 1e300, 1e-200  # 1e300 * 1e300 overflows; 1e-200**2 underflows
+    caller = threading.get_ident()
+    calls = spy_threads(monkeypatch)
+    for kernel in kernels():
+        with np.errstate(divide="ignore"):
+            np.setbufsize(4096)
+            state = np.getbufsize(), np.geterr()
+            for a, errs, expect in (
+                (big, {"over": "raise"}, pytest.raises(FloatingPointError)),
+                (big, {"over": "warn"}, pytest.warns(RuntimeWarning, match="overflow")),
+                (tiny, {"under": "raise"}, pytest.raises(FloatingPointError, match="underflow")),
+            ):
+                calls.clear()
+                with np.errstate(**errs), expect:
+                    reference_gemm(a, a.T.copy(), np.zeros((4, 4)))
+                assert (np.getbufsize(), np.geterr()) == state, (kernel, errs)
+                # The einsum blocks are shared, and a non-finite one is redone by
+                # the loop on its worker; raising underflow needs the loop throughout.
+                threads = {ident for ident, *_ in calls}
+                extreme = {ident for ident, rows, *_ in calls if rows[0, 0] != 1.0}
+                if kernel == "einsum" and "under" not in errs:
+                    assert len(threads) == 2 and extreme and caller not in extreme, errs
+                else:
+                    assert threads == {caller}, (kernel, errs)
+                # every block ran under the caller's error state, with the
+                # kernel's buffer size of 2 N rounded up to 16
+                want = (16, sorted({**state[1], **errs}.items()))
+                assert all((size, sorted(err.items())) == want for *_, size, err in calls), errs
+            with np.errstate(over="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                reference_gemm(big, big.T.copy(), np.zeros((4, 4)))
+            assert (np.getbufsize(), np.geterr()) == state
+        calls.clear()
+        empty = np.empty((0, 0))
+        reference_gemm(np.empty((0, 0)), np.empty((0, 0)), empty)
+        assert empty.shape == (0, 0) and not calls
 
 
 def ascending_k(subscripts, a, b, out, optimize):
