@@ -1,6 +1,7 @@
 """Command-line orchestration: run, sweep, replay, score, fixtures.
 
-One command per process.  Exit codes are machine-checkable for batch
+One command per main call; a process may make many calls, which share
+one parser (build_parser).  Exit codes are machine-checkable for batch
 schedulers: 0 success, else the exit_code that the error's class declares
 in errors.py (2 configuration error, 3 source/backend error, 4 insufficient
 data).  Importing this module loads only errors, spec and manifest; each
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import os
 import sys
 from pathlib import Path
@@ -24,8 +26,8 @@ from .manifest import (
     AnalysisPlan,
     ExperimentManifest,
     load_manifest,
-    manifest_digest,
-    save_manifest,
+    manifest_to_text,
+    text_digest,
 )
 from .spec import encode, write_file
 
@@ -167,8 +169,9 @@ def execute_run(m: ExperimentManifest, run_dir: Path, run_index: int = 0):
     try:
         from .gemm import get_backend
         get_backend(m.config.backend_id)
-        save_manifest(m, run_dir / "manifest")
-        write_file(run_dir / "manifest.sha256", manifest_digest(m) + "\n")
+        text = manifest_to_text(m)
+        write_file(run_dir / "manifest", text)
+        write_file(run_dir / "manifest.sha256", text_digest(text) + "\n")
 
         phase = "telemetry-setup"
         samplers = [build_sampler(d, m.interval_ms) for d in m.sources]
@@ -357,7 +360,13 @@ def cmd_fixtures(out: Path) -> None:
     _say(f"wrote {len(runs)} fixture runs to {out}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call; every later call returns the same one.
+
+    parse_args leaves a parser as it was, so one parser serves every main
+    call in a process; a caller that changes it changes every later call.
+    """
     parser = argparse.ArgumentParser(
         prog="entrobench",
         description="Input-entropy power benchmarking for DGEMM workloads",

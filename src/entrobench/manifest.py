@@ -195,6 +195,11 @@ def save_manifest(m: ExperimentManifest, path) -> None:
     write_file(path, manifest_to_text(m))
 
 
-def manifest_digest(m: ExperimentManifest) -> str:
+def text_digest(text: str) -> str:
+    """The sha256 hex digest of a manifest's text."""
     import hashlib  # loads OpenSSL, which only run and sweep need
-    return hashlib.sha256(manifest_to_text(m).encode()).hexdigest()
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def manifest_digest(m: ExperimentManifest) -> str:
+    return text_digest(manifest_to_text(m))

@@ -127,26 +127,81 @@ def toggle_score(stream: FmaStream) -> ToggleReport:
     return ToggleReport(len(a), mul, _flips(acc[1:], acc[:-1]))
 
 
-def _distinct(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group equal blocks: each block's group, each group's first block and size.
+# SplitMix64's increment and the odd multipliers of its output mix.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
 
-    Blocks are equal only bit for bit: -0.0 and 0.0 differ, and so do two
-    NaN payloads.  A block joins the group whose first block has the same
-    bytes; only the hash of those bytes is kept, not a copy of each
-    distinct block.  Groups are numbered in order of first appearance.
+
+def _mixed(x: np.ndarray) -> np.ndarray:
+    """SplitMix64's output mix of each uint64 word of x, in place; returns x."""
+    x ^= x >> 30
+    x *= _MIX[0]
+    x ^= x >> 27
+    x *= _MIX[1]
+    x ^= x >> 31
+    return x
+
+
+def _hashes(m: np.ndarray, size: int, axis: int) -> np.ndarray:
+    """A 64-bit hash of each block of `size` rows (axis 0) or columns (axis 1) of m.
+
+    Each word x is folded to x ^ (x >> 32), so that its high bits reach
+    the low ones, and weighted by an odd key of its row and one of its
+    column in the block; a block's hash is the sum of its weighted words
+    modulo 2**64.  Equal blocks hash alike, and _distinct checks the
+    converse.  m is read ACC_BLOCK words at a time (at least one row).
     """
-    by_hash: dict[int, list[int]] = {}  # groups whose first block's bytes hash alike
-    group, firsts = [], []
-    for block in blocks:
-        data = block.tobytes()
-        alike = by_hash.setdefault(hash(data), [])
-        g = next((g for g in alike if blocks[firsts[g]].tobytes() == data), None)
-        if g is None:
-            g = len(firsts)
-            alike.append(g)
-            firsts.append(len(group))
-        group.append(g)
-    return np.array(group), np.array(firsts), np.bincount(group)
+    # SplitMix64's first outputs from seed 0, made odd.
+    keys = _mixed(np.arange(1, size + m.shape[1 - axis] + 1, dtype=np.uint64) * _GAMMA)
+    keys |= np.uint64(1)
+    within, across = keys[:size], keys[size:]  # along axis in a block; along the other axis
+    words = m.view(np.uint64)
+    lines = np.zeros(m.shape[axis], np.uint64)  # each row (axis 0) or column's weighted sum
+    rows = max(1, ACC_BLOCK // m.shape[1])
+    for r0 in range(0, len(m), rows):
+        x = words[r0:r0 + rows]
+        x = x ^ (x >> 32)
+        if axis == 0:
+            lines[r0:r0 + rows] = x @ across
+        else:
+            lines += across[r0:r0 + rows] @ x
+    return lines.reshape(-1, size) @ within
+
+
+def _distinct(m: np.ndarray, size: int, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the equal blocks of `size` rows (axis 0) or columns (axis 1) of m.
+
+    Returns each block's group, each group's first block and each group's
+    size.  Blocks are equal only bit for bit: -0.0 and 0.0 differ, and so
+    do two NaN payloads.  Groups are numbered in order of first appearance.
+    A block joins the group of the first block with its hash (_hashes) if
+    all their words are equal; only blocks whose hash a block with other
+    bits shares are then grouped one at a time, by their bytes.  Blocks are
+    compared ACC_BLOCK words at a time (at least one block), so no copy of
+    them all is made.
+    """
+    blocks = m.view(np.uint64).reshape((-1, size, m.shape[1]) if axis == 0
+                                       else (m.shape[0], -1, size))
+    count = blocks.shape[axis]
+    _, first, inverse = np.unique(_hashes(m, size, axis), return_index=True, return_inverse=True)
+    rep = first[inverse]  # each block's first block of its hash, until checked
+    joins = np.flatnonzero(rep != np.arange(count))
+    step = max(1, ACC_BLOCK // (size * m.shape[1 - axis]))  # blocks per chunk
+    clash = np.zeros(count, bool)  # first blocks of hashes that blocks with other bits share
+    for chunk in (joins[i:i + step] for i in range(0, len(joins), step)):
+        differ = np.take(blocks, chunk, axis) != np.take(blocks, rep[chunk], axis)
+        # Over each block's N-long axis, then its `size`-long one.
+        clash[rep[chunk[differ.any(axis=2 - 2 * axis).any(axis=1)]]] = True
+    alike: dict[int, list[int]] = {}  # a clashing hash's first block: its groups' first blocks
+    for b in np.flatnonzero(clash[rep]):
+        data = np.take(blocks, b, axis).tobytes()
+        groups = alike.setdefault(int(rep[b]), [])
+        rep[b] = next((f for f in groups if np.take(blocks, f, axis).tobytes() == data), b)
+        if rep[b] == b:
+            groups.append(b)
+    firsts = np.flatnonzero(rep == np.arange(count))
+    group = np.searchsorted(firsts, rep)
+    return group, firsts, np.bincount(group)
 
 
 def _tile_row_block(a_rows: np.ndarray, b_k: np.ndarray, col_map: np.ndarray,
@@ -254,8 +309,8 @@ def count_toggles(a: np.ndarray, b: np.ndarray, schedule: Schedule = Schedule())
            + tile_rows * _flips(b_last[:-1], b_first[1:])
            + (tile_rows - 1) * _flips(b_last[-1:], b_first[:1]))
 
-    row_map, row_reps, row_count = _distinct(a3)
-    col_map, col_reps, col_count = _distinct(b3.transpose(1, 0, 2))
+    row_map, row_reps, row_count = _distinct(a, tm, 0)
+    col_map, col_reps, col_count = _distinct(b, tn, 1)
     # The distinct tile columns of B, and below each block's distinct tile
     # rows of A, are copies, unless they are all of them: a slice is a view.
     # np.take keeps the copy in row-major order (b3[:, col_reps] would put

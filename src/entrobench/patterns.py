@@ -64,12 +64,12 @@ def masks(spec: PatternSpec, rows: slice = slice(None)) -> tuple[np.ndarray, np.
         mask_a, mask_b = rule(i, j), rule(j, i)
     elif family is Family.BLOCK_DIAGONAL:  # s x s checkerboard; B: complement, full at level 0
         # i // s + j // s is even exactly when i and j agree at bit s.
-        mask_a = ((i ^ j) & s) == 0
+        mask_a = (i & s) == (j & s)
         mask_b = ~mask_a if lvl else mask_a
     else:  # sparse_diagonal: 2^level diagonals j - i = 0 mod s; B: left-right mirror
-        # x & (s - 1) is x mod s, for negative x too.  Mirrored, the
-        # diagonals are i + j = s - 1 mod s, since s divides n.
-        def rule(i, j): return ((j - i) & (s - 1)) == 0
+        # j - i = 0 mod s exactly when i and j agree mod s, which x & (s - 1)
+        # is.  Mirrored, the diagonals are i + j = s - 1 mod s, since s divides n.
+        def rule(i, j): return (i & (s - 1)) == (j & (s - 1))
         mask_a, mask_b = rule(i, j), rule(i, n - 1 - j)
     return tuple(np.broadcast_to(m, (i.size, n)).copy() for m in (mask_a, mask_b))
 

@@ -690,15 +690,65 @@ def test_fixtures_and_their_replay_construct_no_power_sample(tmp_path, monkeypat
     assert made == []
 
 
-def fresh_python(code, *args):
+def fresh_run(code, *args, cwd=None):
     """Run code in a new interpreter that imports entrobench from this checkout."""
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
-                          text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def fresh_python(code, *args):
+    """fresh_run's standard output, once the interpreter has exited 0."""
+    proc = fresh_run(code, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def test_main_calls_in_one_process_match_fresh_processes(tmp_path, capsys, monkeypatch):
+    # One parser serves every main call in a process.  The same calls give
+    # the same exit codes, output and files, each in a fresh interpreter: no
+    # --out, --manifest or input list leaks into a later call, and an
+    # argument error (exit 2) leaves the parser as it was.
+    calls = [["--out", "fx", "fixtures"],
+             ["--manifest", "score.ini", "--out", "scored", "score"],
+             ["--out", "rp", "replay", "fx"],
+             ["--manifest", "score.ini", "score"],  # to the manifest's out
+             ["--manifest", "score.ini", "bogus"],
+             ["score"],
+             ["replay", "fx"]]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal's width
+    code = "import sys\nfrom entrobench.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    manifest = ("[pattern]\nfamily = sparse_rowcol\nn = 8\nseed = 5\n[sweep]\n"
+                "[model]\nlanes = 4\n[experiment]\nout = from-manifest\n")
+
+    def in_process(argv):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        return (rc, *capsys.readouterr())
+
+    def fresh(argv):
+        proc = fresh_run(code, *argv, cwd=fresh_dir)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def files(root):
+        return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    shared_dir, fresh_dir = tmp_path / "shared", tmp_path / "fresh"
+    for directory in (shared_dir, fresh_dir):
+        directory.mkdir()
+        (directory / "score.ini").write_text(manifest)
+    monkeypatch.chdir(shared_dir)
+    assert cli.build_parser() is cli.build_parser()
+    shared = [in_process(argv) for argv in calls]
+    assert [rc for rc, _, _ in shared] == [0, 0, 0, 0, 2, 2, 0]
+    assert [fresh(argv) for argv in calls] == shared
+    assert files(shared_dir) == files(fresh_dir)
+    assert {"scored/score.csv", "from-manifest/score.csv", "rp/report.txt",
+            "replay-out/report.txt"} <= set(files(shared_dir))
 
 
 def test_cli_and_manifest_load_without_numpy(tmp_path):

@@ -1,3 +1,5 @@
+import unittest.mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -308,7 +310,7 @@ def test_bit_different_tiles_are_never_merged(words, lanes):
     pool = np.full((2, n), 0.75)
     pool[:, 0] = words  # the first product: a zero sum keeps its sign
     a, b = _tiles_from_pools(pool, [0, 1] * (n // 2), pool, [1, 0] * (n // 2))
-    groups, _, counts = model._distinct(a.reshape(n, 1, n))
+    groups, _, counts = model._distinct(a, 1, 0)
     assert groups.tolist() == [0, 1] * (n // 2) and counts.tolist() == [n // 2] * 2
     schedule = Schedule(lanes)
     expected = toggle_score(operand_stream(MatrixPair(a=a, b=b), schedule))
@@ -318,15 +320,52 @@ def test_bit_different_tiles_are_never_merged(words, lanes):
 def test_blocks_whose_hashes_collide_are_told_apart_by_their_bytes(monkeypatch):
     # Every block hashes alike, so each is compared byte for byte with the
     # first block of every group so far.
-    monkeypatch.setattr(model, "hash", lambda data: 0, raising=False)
+    monkeypatch.setattr(model, "_hashes",
+                        lambda m, size, axis: np.zeros(m.shape[axis] // size, np.uint64))
     pool = np.array([[1.0, 2.0], [1.0, -0.0], [1.0, 0.0]])
-    groups, firsts, counts = model._distinct(pool[[2, 0, 2, 1, 0, 1, 1]])
+    groups, firsts, counts = model._distinct(pool[[2, 0, 2, 1, 0, 1, 1]], 1, 0)
     assert groups.tolist() == [0, 1, 0, 2, 1, 2, 2]
     assert firsts.tolist() == [0, 1, 3] and counts.tolist() == [2, 2, 3]
     wide = np.tile(pool, 4)  # rows of 8 words
     a, b = _tiles_from_pools(wide, [0, 1, 2, 1] * 2, wide, [2, 2, 0, 1] * 2)
     schedule = Schedule(4)
     assert count_toggles(a, b, schedule) == toggle_score(operand_stream(MatrixPair(a, b), schedule))
+
+
+def _distinct_by_bytes(blocks):
+    """The grouping _distinct makes, keyed by each block's bytes: the oracle it is tested against."""
+    keys = {}
+    group = [keys.setdefault(block.tobytes(), len(keys)) for block in blocks]
+    return group, [group.index(g) for g in range(len(keys))], np.bincount(group).tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_distinct_groups_blocks_as_their_bytes_do(data):
+    # Blocks of rows of A and of columns of B, drawn from a few rows and
+    # columns of words that compare equal (0.0 and -0.0) or are both NaN,
+    # in a contiguous matrix or a strided view, hashed and compared in
+    # chunks of ACC_BLOCK words, with real hashes or colliding ones; the
+    # oracle reads B's tile columns as strided views.
+    n = data.draw(st.sampled_from([1, 2, 4, 8, 16]), label="n")
+    size = data.draw(st.sampled_from([s for s in (1, 2, 4, 8) if s <= n]), label="size")
+    nans = tuple(np.array([0x7FF8000000000001, 0x7FFC000000000000], np.uint64).view(np.float64))
+    values = st.sampled_from([0.0, -0.0, *nans, 1.0, -1.5])
+    pool = np.array(data.draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                                       min_size=1, max_size=3), label="pool"))
+    picks = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    a, b = _tiles_from_pools(pool, [i % len(pool) for i in data.draw(picks, label="rows")],
+                             pool, [j % len(pool) for j in data.draw(picks, label="cols")])
+    if data.draw(st.booleans(), label="strided"):
+        a, b = (np.repeat(m, 2, axis=1)[:, ::2] for m in (a, b))
+    acc_block = data.draw(st.sampled_from([1, 3, 16, model.ACC_BLOCK]), label="acc_block")
+    hashes = data.draw(st.sampled_from([model._hashes, lambda m, size, axis: np.zeros(
+        m.shape[axis] // size, np.uint64)]), label="hashes")  # or every block hashes alike
+    with unittest.mock.patch.multiple(model, ACC_BLOCK=acc_block, _hashes=hashes):
+        got = [model._distinct(a, size, 0), model._distinct(b, size, 1)]
+    want = [_distinct_by_bytes(a.reshape(n // size, size, n)),
+            _distinct_by_bytes(b.reshape(n, n // size, size).transpose(1, 0, 2))]
+    assert [[x.tolist() for x in groups] for groups in got] == [list(w) for w in want]
 
 
 @pytest.mark.parametrize("lanes", [1, 2, 4, 8])
