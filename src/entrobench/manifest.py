@@ -34,7 +34,6 @@ from .spec import (
     decode_list,
     encode,
     read_text,
-    write_file,
 )
 
 SCHEMA_VERSION = 1
@@ -191,15 +190,7 @@ def load_manifest(path) -> ExperimentManifest:
         raise ConfigError(f"cannot read manifest: {exc}") from exc
 
 
-def save_manifest(m: ExperimentManifest, path) -> None:
-    write_file(path, manifest_to_text(m))
-
-
 def text_digest(text: str) -> str:
     """The sha256 hex digest of a manifest's text."""
     import hashlib  # loads OpenSSL, which only run and sweep need
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def manifest_digest(m: ExperimentManifest) -> str:
-    return text_digest(manifest_to_text(m))

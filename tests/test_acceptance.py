@@ -16,6 +16,7 @@ from entrobench.cli import main
 from entrobench.gemm import GemmConfig, reference_gemm
 from entrobench.manifest import ExperimentManifest, manifest_from_text, manifest_to_text
 from entrobench.patterns import PatternSpec, generate, masks
+from entrobench.spec import write_file
 
 from golden_masks import GOLDEN, grid_to_mask
 
@@ -180,11 +181,10 @@ def test_criterion_6_determinism_and_round_trips(capsys, tmp_path):
 
         tl_path = tmp_path / "recorded.csv"
         telemetry.write_timeline(timeline, tl_path)
-        from entrobench.manifest import save_manifest
         import dataclasses
 
-        save_manifest(dataclasses.replace(m, sources=(f"replay:{tl_path}",)),
-                      tmp_path / "m.ini")
+        write_file(tmp_path / "m.ini",
+                   manifest_to_text(dataclasses.replace(m, sources=(f"replay:{tl_path}",))))
         assert main(["--manifest", str(tmp_path / "m.ini"), "run"]) == 0
         assert main(["--out", str(tmp_path / "rp"), "replay",
                      str(tmp_path / "out")]) == 0
@@ -209,9 +209,7 @@ def test_criterion_7_protocol_conformance_via_replay(capsys, tmp_path):
         )
         assert m.config.reps == 100        # protocol default
         assert m.interval_ms == 100.0      # protocol default
-        from entrobench.manifest import save_manifest
-
-        save_manifest(m, tmp_path / "m.ini")
+        write_file(tmp_path / "m.ini", manifest_to_text(m))
         assert main(["--manifest", str(tmp_path / "m.ini"), "run"]) == 0
 
         means = []

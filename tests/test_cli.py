@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -21,10 +22,9 @@ from entrobench.manifest import (
     SweepPlan,
     load_manifest,
     manifest_to_text,
-    save_manifest,
 )
 from entrobench.patterns import PatternSpec
-from entrobench.spec import Schedule
+from entrobench.spec import Schedule, write_file
 
 
 def write_replay_timeline(path, mean_w=300.0):
@@ -38,7 +38,7 @@ def write_manifest(path, pattern=PatternSpec(family="block_rowcol", n_dim=64, le
         out_dir=str(path.parent / "out"),
     )
     kw.update(overrides)
-    save_manifest(ExperimentManifest(**kw), path)
+    write_file(path, manifest_to_text(ExperimentManifest(**kw)))
     return path
 
 
@@ -706,6 +706,122 @@ def fresh_python(code, *args):
     return proc.stdout
 
 
+# What the installed entrobench script runs.
+SCRIPT = "import sys\nfrom entrobench.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+
+@pytest.fixture(scope="module")
+def fixture_dir(tmp_path_factory):
+    """The output of one `fixtures` command, which a test must not change."""
+    fx = tmp_path_factory.mktemp("fixtures")
+    assert main(["--out", str(fx), "fixtures"]) == 0
+    return fx
+
+
+@pytest.mark.parametrize("pattern,change,code,label", [
+    (None, None, 2, "configuration error"),  # fixtures with a --manifest that does not exist
+    ("*/timeline-*.csv", lambda text: text + "2000.0,abc,fixture\n", 3, "source/backend error"),
+    ("*/record.csv", lambda text: text.replace("record v1\n", "record v12\n"), 3,
+     "source/backend error"),
+    ("*/timeline-*.csv", lambda text: "".join(text.splitlines(True)[:7]), 4,  # 5 samples
+     "insufficient data"),
+], ids=["missing-manifest", "malformed-row", "record-v12", "short-timeline"])
+def test_the_process_exits_with_the_code_of_its_error_class(tmp_path, fixture_dir, pattern,
+                                                            change, code, label):
+    out = tmp_path / "out"
+    if pattern is None:
+        argv = ["--manifest", str(tmp_path / "missing.ini"), "--out", str(out), "fixtures"]
+    else:  # replay of the fixtures with one file changed
+        fx = tmp_path / "fx"
+        shutil.copytree(fixture_dir, fx)
+        changed = sorted(fx.glob(pattern))[0]
+        changed.write_text(change(changed.read_text()))
+        argv = ["--out", str(out), "replay", str(fx)]
+    proc = fresh_run(SCRIPT, *argv)
+    assert proc.returncode == code
+    assert proc.stderr.startswith(f"{label}: ")
+    if code == 2:
+        assert not out.exists()
+    elif code == 3:
+        assert str(changed) in proc.stderr
+
+
+def reference_run(pattern, reps=1):
+    """A manifest for one reference-backend run of pattern that replays {timeline}."""
+    return (f"[pattern]\n{pattern}seed = 5\n[gemm]\nreps = {reps}\nalpha = 1.5\nbeta = 0.5\n"
+            "backend = reference\nwarmup_seconds = 0.0\n[telemetry]\nsources = replay:{timeline}\n")
+
+
+# Pins on the bits that the paper's claim rests on: a run's checksum_bits hold
+# its operands and C, and score's output holds the toggle model.  name:
+# (command, manifest, pin); a score pin is (ranking line 1, lines, sha256).
+PINS = {
+    # A kernel that sums in another order or fuses its multiply-adds moves C.
+    "baseline_random": ("run", reference_run("family = baseline_random\nn = 64\n", reps=2),
+                        "41022955a433be7a"),
+    # generate fills A and B in four blocks of rows at N = 512.
+    "sparse_diagonal": ("run", reference_run("family = sparse_diagonal\nn = 512\nlevel = 5\n"),
+                        "41084578815bce19"),
+    # The checkerboard, filled through its per-axis residue masks.
+    "block_diagonal": ("run", reference_run("family = block_diagonal\nn = 512\nlevel = 5\n"),
+                       "41680a9140f65de6"),
+    # score's printed ranking and its score.csv.
+    "score": ("score", "[pattern]\nfamily = sparse_rowcol\nn = 16\nseed = 5\n[sweep]\n"
+              "[model]\nlanes = 4\n",
+              ("#1 sparse_rowcol L4 independent score=68.375", 11,
+               "8103b87122ed82614760f190c73882c750aa60ac67be9196d64ab73fb89928b3")),
+    # Repeated tiles at 16 lanes: block_rowcol's zero stripes repeat rows of A
+    # and columns of B.
+    "tiles": ("score", "[pattern]\nfamily = block_rowcol\nn = 64\nseed = 5\n[sweep]\n"
+              "[model]\nlanes = 16\n",
+              ("#1 block_rowcol L0 independent score=60.333", 15,
+               "8173074635498dcfab77a25ef6f38af7f6ea04f2833482e900637341b102773e")),
+    # Repeated tiles at 1 lane, the default: sparse_diagonal's fixed_common
+    # levels put several k steps in one chunk of the toggle counter.
+    "lane": ("score", "[pattern]\nfamily = sparse_diagonal\nn = 64\nseed = 5\n[sweep]\n",
+             ("#1 sparse_diagonal L6 independent score=79.326", 15,
+              "915f9430c283a36c65769d79607be009db0e406bfc8a6930ddd259396bd10573")),
+    # Repeated tiles at N = 256 with 4 lanes, where the toggle counter hashes
+    # and compares its tile rows and columns in several chunks.
+    "checker-score": ("score", "[pattern]\nfamily = block_diagonal\nn = 256\nseed = 5\n"
+                      "[sweep]\n[model]\nlanes = 4\n",
+                      ("#1 block_diagonal L0 independent score=66.533", 19,
+                       "c16c376bd04a676e3ebc175ceb5fccbc0372e2253b3e3ea8908e2132501c99f8")),
+}
+
+
+def pin_cases():
+    """Each run pin on both reference kernels at 1, 2 and 4 workers; each score pin once."""
+    for name, (command, _, _) in PINS.items():
+        if command == "score":
+            yield pytest.param(name, None, None, id=name)
+            continue
+        for kernel in ("einsum", "loop"):
+            for workers in (1, 2, 4):
+                yield pytest.param(name, kernel, workers, id=f"{name}-{kernel}-{workers}")
+
+
+@pytest.mark.parametrize("name,kernel,workers", pin_cases())
+def test_pinned_manifests_keep_their_bits(tmp_path, capsys, monkeypatch, fixture_dir, name,
+                                          kernel, workers):
+    command, manifest, pin = PINS[name]
+    if kernel is not None:
+        if kernel == "einsum" and not gemm._einsum_is_exact():
+            pytest.skip("this numpy fuses einsum's multiply-adds, so only the loop runs")
+        monkeypatch.setattr(gemm, "_einsum_is_exact", lambda: kernel == "einsum")
+        monkeypatch.setattr(gemm, "_usable_cpus", lambda: workers)
+    path, out = tmp_path / "m.ini", tmp_path / "out"
+    path.write_text(manifest.format(
+        timeline=fixture_dir / "rec-baseline_random" / "timeline-fixture-0.csv"))
+    assert main(["--manifest", str(path), "--out", str(out), command]) == 0
+    if command == "run":
+        assert records.read_record(out / "record.csv").checksum_bits == pin
+    else:
+        data = (out / "score.csv").read_bytes()
+        ranking = capsys.readouterr().out.splitlines()
+        assert (ranking[0], data.count(b"\n"), hashlib.sha256(data).hexdigest()) == pin
+
+
 def test_main_calls_in_one_process_match_fresh_processes(tmp_path, capsys, monkeypatch):
     # One parser serves every main call in a process.  The same calls give
     # the same exit codes, output and files, each in a fresh interpreter: no
@@ -719,7 +835,6 @@ def test_main_calls_in_one_process_match_fresh_processes(tmp_path, capsys, monke
              ["score"],
              ["replay", "fx"]]
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal's width
-    code = "import sys\nfrom entrobench.cli import main\nsys.exit(main(sys.argv[1:]))\n"
     manifest = ("[pattern]\nfamily = sparse_rowcol\nn = 8\nseed = 5\n[sweep]\n"
                 "[model]\nlanes = 4\n[experiment]\nout = from-manifest\n")
 
@@ -731,7 +846,7 @@ def test_main_calls_in_one_process_match_fresh_processes(tmp_path, capsys, monke
         return (rc, *capsys.readouterr())
 
     def fresh(argv):
-        proc = fresh_run(code, *argv, cwd=fresh_dir)
+        proc = fresh_run(SCRIPT, *argv, cwd=fresh_dir)
         return proc.returncode, proc.stdout, proc.stderr
 
     def files(root):
@@ -784,10 +899,8 @@ def test_score_loads_no_telemetry_analysis_fixtures_or_records(tmp_path):
 
 
 def test_fixtures_then_replay_run_with_numpy_unimportable(tmp_path):
-    code = ("import sys\n"
-            "sys.modules['numpy'] = None  # import numpy now raises ImportError\n"
-            "from entrobench.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n")
+    # import numpy now raises ImportError
+    code = "import sys\nsys.modules['numpy'] = None\n" + SCRIPT
     fx, rp = tmp_path / "fx", tmp_path / "rp"
     fresh_python(code, "--out", str(fx), "fixtures")
     fresh_python(code, "--out", str(rp), "replay", str(fx))

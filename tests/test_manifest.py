@@ -13,13 +13,12 @@ from entrobench.manifest import (
     ExperimentManifest,
     SweepPlan,
     load_manifest,
-    manifest_digest,
     manifest_from_text,
     manifest_to_text,
-    save_manifest,
+    text_digest,
 )
 from entrobench.patterns import PatternSpec
-from entrobench.spec import Schedule
+from entrobench.spec import Schedule, write_file
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -43,7 +42,7 @@ def test_round_trip_is_byte_identical():
     back = manifest_from_text(text)
     assert back == m
     assert manifest_to_text(back) == text
-    assert manifest_digest(back) == manifest_digest(m)
+    assert text_digest(manifest_to_text(back)) == text_digest(manifest_to_text(m))
 
 
 # manifest_to_text(sample_manifest()), as written before the key table existed
@@ -126,7 +125,7 @@ def test_round_trip_without_sweep():
 def test_file_round_trip(tmp_path):
     m = sample_manifest()
     path = tmp_path / "exp.manifest"
-    save_manifest(m, path)
+    write_file(path, manifest_to_text(m))
     assert load_manifest(path) == m
 
 
@@ -172,8 +171,8 @@ def test_unknown_schema_version_rejected():
 def test_digest_tracks_content():
     base = sample_manifest()
     changed = sample_manifest(reps=6)
-    assert manifest_digest(base) != manifest_digest(changed)
-    assert len(manifest_digest(base)) == 64
+    assert text_digest(manifest_to_text(base)) != text_digest(manifest_to_text(changed))
+    assert len(text_digest(manifest_to_text(base))) == 64
 
 
 def test_sweep_levels_range():
